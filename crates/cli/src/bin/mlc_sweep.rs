@@ -9,7 +9,6 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Mutex;
 
 use mlc_cache::ByteSize;
 use mlc_cli::args::{parse_choice, parse_int_range, parse_size_range, Args, Flag};
@@ -20,7 +19,7 @@ use mlc_core::{
     Explorer, GridRow, SlopeRegion, SweepEngine, Table,
 };
 use mlc_obs::json::JsonValue;
-use mlc_obs::{digest_records_hex, JournalHeader, JournalRow, JournalWriter, RunManifest};
+use mlc_obs::{digest_records_hex, JournalHeader, JournalWriter, RunManifest};
 use mlc_sim::machine::BaseMachine;
 use mlc_sim::HierarchyConfig;
 
@@ -236,18 +235,7 @@ fn open_journal(
         eprintln!("warning: dropped torn partial line at the journal tail (crash debris)");
     }
     verify_header(&journal.header, header)?;
-    let rows = (0..header.sizes.len() as u64)
-        .filter_map(|i| journal.row_for(i))
-        .map(|r| GridRow {
-            size_idx: r.row as usize,
-            total: r.total.clone(),
-            l2_local: r.l2_local,
-            l2_global: r.l2_global,
-            m_l1_global: r.m_l1_global,
-            cpu_cycle_ns: r.cpu_cycle_ns,
-        })
-        .collect();
-    Ok((writer, rows))
+    Ok((writer, journal.rows.iter().map(GridRow::from).collect()))
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
@@ -414,10 +402,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             cycles: cycles.clone(),
             trace_id: None,
         };
-        let (journal, completed) = match &journal_path {
+        let (mut journal, completed) = match &journal_path {
             Some(p) => {
                 let (writer, rows) = open_journal(p, resume, &header)?;
-                (Some(Mutex::new(writer)), rows)
+                (Some(writer), rows)
             }
             None => (None, Vec::new()),
         };
@@ -428,54 +416,25 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 sizes.len()
             );
         }
-        let done: std::collections::BTreeSet<usize> =
-            completed.iter().map(|r| r.size_idx).collect();
-        let todo: Vec<usize> = (0..sizes.len()).filter(|i| !done.contains(i)).collect();
-        let sink_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        let sink = |row: &GridRow| {
-            if let Some(journal) = &journal {
-                let jrow = JournalRow {
-                    row: row.size_idx as u64,
-                    total: row.total.clone(),
-                    l2_local: row.l2_local,
-                    l2_global: row.l2_global,
-                    m_l1_global: row.m_l1_global,
-                    cpu_cycle_ns: row.cpu_cycle_ns,
-                };
-                // A poisoned lock only means another row panicked; that
-                // panic is already isolated, so keep journalling.
-                let result = journal
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .append_row(&jrow);
-                if let Err(e) = result {
-                    sink_error
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .get_or_insert(e);
-                }
-            }
-        };
-        let progress = obs.progress(&engine.to_string(), (todo.len() * cycles.len()) as u64);
-        let results = explorer
-            .with_progress(&progress)
-            .try_l2_rows(engine, &base, &sizes, &cycles, ways, &todo, sink);
+        let todo = sizes.len() - completed.len();
+        let progress = obs.progress(&engine.to_string(), (todo * cycles.len()) as u64);
+        let run = explorer.with_progress(&progress).l2_grid_checkpointed(
+            engine,
+            &base,
+            &sizes,
+            &cycles,
+            ways,
+            completed,
+            |row| match &mut journal {
+                Some(writer) => writer.append_row(row),
+                None => Ok(()),
+            },
+        );
         progress.finish();
-        if let Some(e) = sink_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
+        if let Some(e) = run.append_error {
             return Err(format!("journal write failed: {e}").into());
         }
-        let mut rows = completed;
-        let mut failures = Vec::new();
-        for r in results {
-            match r {
-                Ok(row) => rows.push(row),
-                Err(f) => failures.push(f),
-            }
-        }
-        (
-            DesignGrid::from_rows(&sizes, &cycles, ways, &rows),
-            failures,
-        )
+        (run.grid, run.failures)
     };
 
     if !failures.is_empty() {

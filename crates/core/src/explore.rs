@@ -5,8 +5,12 @@
 //! [`BaseMachine`](mlc_sim::machine::BaseMachine), simulates every grid
 //! point in parallel, and returns a queryable grid.
 
+use std::collections::BTreeSet;
+use std::io;
+use std::sync::{Mutex, PoisonError};
+
 use mlc_cache::{ByteSize, CacheConfig};
-use mlc_obs::{Metrics, Progress};
+use mlc_obs::{JournalRow, Metrics, Progress};
 use mlc_sim::machine::BaseMachine;
 use mlc_sim::{
     simulate_timing_sweep_observed, simulate_with_warmup, simulate_with_warmup_observed, solo,
@@ -72,23 +76,43 @@ pub struct GridRow {
     pub cpu_cycle_ns: f64,
 }
 
-/// A [`DesignGrid`] that may be missing rows, plus the typed reasons.
-///
-/// Failed rows hold [`DesignGrid::FAILED`] in every `total` cell and
-/// `NaN` miss ratios; `failures[k].index` is the failed *size index*.
-#[derive(Debug, Clone)]
-pub struct PartialGrid {
-    /// The grid, with failed rows marked by sentinels.
-    pub grid: DesignGrid,
-    /// One entry per failed size row, ascending by size index.
-    pub failures: Vec<PointFailure>,
+impl From<&GridRow> for JournalRow {
+    fn from(row: &GridRow) -> Self {
+        JournalRow {
+            row: row.size_idx as u64,
+            total: row.total.clone(),
+            l2_local: row.l2_local,
+            l2_global: row.l2_global,
+            m_l1_global: row.m_l1_global,
+            cpu_cycle_ns: row.cpu_cycle_ns,
+        }
+    }
 }
 
-impl PartialGrid {
-    /// Whether every row completed.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
+impl From<&JournalRow> for GridRow {
+    fn from(row: &JournalRow) -> Self {
+        GridRow {
+            size_idx: row.row as usize,
+            total: row.total.clone(),
+            l2_local: row.l2_local,
+            l2_global: row.l2_global,
+            m_l1_global: row.m_l1_global,
+            cpu_cycle_ns: row.cpu_cycle_ns,
+        }
     }
+}
+
+/// What [`Explorer::l2_grid_checkpointed`] produced.
+#[derive(Debug)]
+pub struct GridRun {
+    /// The grid; failed rows hold [`DesignGrid::FAILED`] in every
+    /// `total` cell and `NaN` miss ratios.
+    pub grid: DesignGrid,
+    /// One entry per failed size row (`index` = the size index),
+    /// ascending by size index.
+    pub failures: Vec<PointFailure>,
+    /// The first error the `append` hook returned, if any.
+    pub append_error: Option<io::Error>,
 }
 
 impl DesignGrid {
@@ -341,8 +365,8 @@ impl<'t> Explorer<'t> {
     /// # Panics
     ///
     /// Panics on the first failed grid row, preserving the historical
-    /// all-or-nothing contract. Use [`Explorer::try_l2_grid_with`] for
-    /// panic-isolated sweeps.
+    /// all-or-nothing contract. Use [`Explorer::l2_grid_checkpointed`]
+    /// for panic-isolated sweeps.
     pub fn l2_grid_with(
         &self,
         engine: SweepEngine,
@@ -351,27 +375,59 @@ impl<'t> Explorer<'t> {
         cycles: &[u64],
         ways: u32,
     ) -> DesignGrid {
-        let partial = self.try_l2_grid_with(engine, base, sizes, cycles, ways);
-        if let Some(failure) = partial.failures.first() {
+        let run =
+            self.l2_grid_checkpointed(engine, base, sizes, cycles, ways, Vec::new(), |_| Ok(()));
+        if let Some(failure) = run.failures.first() {
             panic!("grid row failed: {failure}");
         }
-        partial.grid
+        run.grid
     }
 
-    /// [`Explorer::l2_grid_with`] with per-row panic isolation: a
-    /// panicking grid row becomes a [`PointFailure`] (indexed by size)
-    /// and a sentinel row instead of aborting the sweep.
-    pub fn try_l2_grid_with(
+    /// The checkpointed grid run behind every sweep: computes the rows
+    /// `completed` does not already hold, hands each finished row to
+    /// `append` (the journal hook), and assembles the grid from
+    /// `completed` plus the new rows.
+    ///
+    /// Rows compute in parallel with per-row panic isolation (see
+    /// [`Explorer::try_l2_rows`]); a failed row becomes a
+    /// [`PointFailure`] and a sentinel row. `append` runs under a lock,
+    /// one row at a time, on the worker that finished the row. An
+    /// `append` error does not stop the sweep: every row still
+    /// computes, and the first error is returned in
+    /// [`GridRun::append_error`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid definition is empty, or if a `completed` row
+    /// does not fit it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn l2_grid_checkpointed<A>(
         &self,
         engine: SweepEngine,
         base: &BaseMachine,
         sizes: &[ByteSize],
         cycles: &[u64],
         ways: u32,
-    ) -> PartialGrid {
-        let todo: Vec<usize> = (0..sizes.len()).collect();
-        let results = self.try_l2_rows(engine, base, sizes, cycles, ways, &todo, |_| {});
-        let mut rows = Vec::with_capacity(results.len());
+        completed: Vec<GridRow>,
+        append: A,
+    ) -> GridRun
+    where
+        A: FnMut(&JournalRow) -> io::Result<()> + Send,
+    {
+        let done: BTreeSet<usize> = completed.iter().map(|r| r.size_idx).collect();
+        let todo: Vec<usize> = (0..sizes.len()).filter(|i| !done.contains(i)).collect();
+        // The hook and the first error it returned, under one lock.
+        let journal = Mutex::new((append, None));
+        let results = self.try_l2_rows(engine, base, sizes, cycles, ways, &todo, |row| {
+            // A poisoned lock only means another row panicked; that
+            // panic is already isolated, so keep journalling.
+            let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
+            let (append, first_error) = &mut *journal;
+            if let Err(e) = append(&JournalRow::from(row)) {
+                first_error.get_or_insert(e);
+            }
+        });
+        let mut rows = completed;
         let mut failures = Vec::new();
         for r in results {
             match r {
@@ -379,17 +435,20 @@ impl<'t> Explorer<'t> {
                 Err(f) => failures.push(f),
             }
         }
-        PartialGrid {
+        let (_, append_error) = journal.into_inner().unwrap_or_else(PoisonError::into_inner);
+        GridRun {
             grid: DesignGrid::from_rows(sizes, cycles, ways, &rows),
             failures,
+            append_error,
         }
     }
 
     /// Computes the grid rows whose size indices are listed in `todo`,
     /// in parallel, isolating a panic in any row to that row's
     /// `Err(PointFailure)` (`index` = the size index). `sink` is invoked
-    /// once per *completed* row, from the worker that finished it — the
-    /// checkpoint-journal hook; pass `|_| {}` when not journalling.
+    /// once per *completed* row, from the worker that finished it; a
+    /// panic in `sink` fails that row. Sweeps that journal go through
+    /// [`Explorer::l2_grid_checkpointed`], which builds on this.
     ///
     /// Both engines parallelise across rows: a row is the checkpoint
     /// unit, so it must complete or fail as a whole. The exhaustive
@@ -679,26 +738,45 @@ mod tests {
         assert_eq!(bad.index, 5);
     }
 
+    /// A one-pass checkpointed grid over `sizes` x {1, 4} cycles.
+    fn checkpointed(
+        explorer: &Explorer,
+        sizes: &[ByteSize],
+        completed: Vec<GridRow>,
+        append: impl FnMut(&JournalRow) -> io::Result<()> + Send,
+    ) -> GridRun {
+        let base = BaseMachine::new();
+        explorer.l2_grid_checkpointed(
+            SweepEngine::OnePass,
+            &base,
+            sizes,
+            &[1, 4],
+            1,
+            completed,
+            append,
+        )
+    }
+
+    /// Bit-exact grid equality: `Debug` renders every float exactly
+    /// (and NaN as itself, unlike `==`).
+    fn assert_bit_identical(a: &DesignGrid, b: &DesignGrid) {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
     #[test]
-    fn partial_grid_marks_failed_rows_with_sentinels() {
+    fn checkpointed_grid_marks_failed_rows_with_sentinels() {
         let t = trace(40_000);
         let explorer = Explorer::new(&t, 10_000);
         let sizes = size_ladder(ByteSize::kib(32), ByteSize::kib(64));
-        let cycles = vec![1, 4];
-        let rows: Vec<GridRow> = explorer
-            .try_l2_rows(
-                SweepEngine::OnePass,
-                &BaseMachine::new(),
-                &sizes,
-                &cycles,
-                1,
-                &[1],
-                |_| {},
-            )
-            .into_iter()
-            .map(|r| r.expect("row completes"))
-            .collect();
-        let grid = DesignGrid::from_rows(&sizes, &cycles, 1, &rows);
+        // A panic in row 0's append fails that row; row 1 still lands.
+        let run = checkpointed(&explorer, &sizes, Vec::new(), |row| {
+            assert_ne!(row.row, 0, "injected row failure");
+            Ok(())
+        });
+        assert_eq!(run.failures.len(), 1);
+        assert_eq!(run.failures[0].index, 0);
+        assert!(run.append_error.is_none());
+        let grid = run.grid;
         assert_eq!(grid.total[0], vec![DesignGrid::FAILED, DesignGrid::FAILED]);
         assert!(grid.l2_local[0].is_nan());
         assert!(grid.total[1].iter().all(|&v| v != DesignGrid::FAILED));
@@ -707,38 +785,61 @@ mod tests {
     }
 
     #[test]
-    fn try_grid_matches_grid_and_sink_sees_every_row() {
-        use std::sync::Mutex;
+    fn checkpointed_grid_matches_grid_and_append_sees_every_row() {
         let t = trace(40_000);
         let explorer = Explorer::new(&t, 10_000);
-        let sizes = size_ladder(ByteSize::kib(32), ByteSize::kib(64));
-        let cycles = vec![1, 4];
-        let partial = explorer.try_l2_grid_with(
-            SweepEngine::OnePass,
-            &BaseMachine::new(),
-            &sizes,
-            &cycles,
-            1,
+        let sizes = size_ladder(ByteSize::kib(32), ByteSize::kib(256));
+        let mut appended = Vec::new();
+        let fresh = checkpointed(&explorer, &sizes, Vec::new(), |row| {
+            appended.push(row.clone());
+            Ok(())
+        });
+        assert!(fresh.failures.is_empty() && fresh.append_error.is_none());
+        let plain = explorer.l2_grid(&BaseMachine::new(), &sizes, &[1, 4], 1);
+        assert_bit_identical(&fresh.grid, &plain);
+        appended.sort_by_key(|r| r.row);
+        assert_eq!(
+            appended.iter().map(|r| r.row).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
         );
-        assert!(partial.is_complete());
-        let plain = explorer.l2_grid(&BaseMachine::new(), &sizes, &cycles, 1);
-        assert_eq!(partial.grid, plain);
 
-        let seen = Mutex::new(Vec::new());
-        let todo: Vec<usize> = (0..sizes.len()).collect();
-        let rows = explorer.try_l2_rows(
-            SweepEngine::OnePass,
-            &BaseMachine::new(),
-            &sizes,
-            &cycles,
-            1,
-            &todo,
-            |row| seen.lock().unwrap().push(row.size_idx),
-        );
-        assert!(rows.iter().all(|r| r.is_ok()));
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, todo);
+        // Resume: half the rows come back from the journal, only the
+        // other half is computed and appended, and the grid is the
+        // fresh one bit for bit.
+        let completed = appended.iter().step_by(2).map(GridRow::from).collect();
+        let mut resumed_appends = Vec::new();
+        let resumed = checkpointed(&explorer, &sizes, completed, |row| {
+            resumed_appends.push(row.row);
+            Ok(())
+        });
+        assert!(resumed.failures.is_empty() && resumed.append_error.is_none());
+        resumed_appends.sort_unstable();
+        assert_eq!(resumed_appends, [1, 3]);
+        assert_bit_identical(&resumed.grid, &fresh.grid);
+    }
+
+    #[test]
+    fn checkpointed_grid_reports_the_first_append_error_once() {
+        let t = trace(40_000);
+        let explorer = Explorer::new(&t, 10_000);
+        let sizes = size_ladder(ByteSize::kib(32), ByteSize::kib(128));
+        // The first two appends fail; only the first error is kept.
+        let mut calls = 0;
+        let run = checkpointed(&explorer, &sizes, Vec::new(), |_| {
+            calls += 1;
+            if calls <= 2 {
+                Err(io::Error::other(format!("disk full #{calls}")))
+            } else {
+                Ok(())
+            }
+        });
+        // The append still ran for every row, and no row failed.
+        assert_eq!(calls, sizes.len());
+        assert!(run.failures.is_empty());
+        let error = run.append_error.expect("reported");
+        assert_eq!(error.to_string(), "disk full #1");
+        let plain = explorer.l2_grid(&BaseMachine::new(), &sizes, &[1, 4], 1);
+        assert_bit_identical(&run.grid, &plain);
     }
 
     #[test]

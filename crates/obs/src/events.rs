@@ -248,24 +248,13 @@ pub fn write_chrome_trace<W: Write>(
     level_names: &[&str],
     tracer: &EventTracer,
 ) -> io::Result<()> {
-    let mut w = io::BufWriter::new(w);
     let us_per_cycle = cpu_cycle_ns / 1000.0;
-    let mut trace_events = Vec::new();
-    // Track-name metadata: one track per level plus main memory.
-    for tid in 0..=level_names.len() {
-        trace_events.push(JsonValue::object([
-            ("name".into(), "thread_name".into()),
-            ("ph".into(), "M".into()),
-            ("pid".into(), 1u64.into()),
-            ("tid".into(), (tid as u64).into()),
-            (
-                "args".into(),
-                JsonValue::object([("name".into(), serviced_name(tid as u32, level_names).into())]),
-            ),
-        ]));
-    }
-    for ev in tracer.events() {
-        trace_events.push(JsonValue::object([
+    // One track per level plus main memory.
+    let tracks = (0..=level_names.len())
+        .map(|tid| serviced_name(tid as u32, level_names))
+        .collect();
+    let slices = tracer.events().iter().map(|ev| {
+        JsonValue::object([
             (
                 "name".into(),
                 format!(
@@ -294,21 +283,54 @@ pub fn write_chrome_trace<W: Write>(
                     ("stall_cycles".into(), ev.stall_cycles.into()),
                 ]),
             ),
-        ]));
-    }
+        ])
+    });
+    write_chrome_doc(
+        w,
+        tracks,
+        slices,
+        JsonValue::object([
+            ("schema".into(), "mlc-chrome-trace/1".into()),
+            ("cpu_cycle_ns".into(), cpu_cycle_ns.into()),
+            ("sample_every".into(), tracer.every().into()),
+            ("truncated".into(), tracer.truncated().into()),
+        ]),
+    )
+}
+
+/// The Chrome trace-event document every export shares, written as one
+/// compact line: a `thread_name` metadata event per track (`tid` = its
+/// position in `tracks`), then the export's `"ph":"X"` slices,
+/// `displayTimeUnit`, and the export's own `otherData`.
+pub(crate) fn write_chrome_doc<W: Write>(
+    w: W,
+    tracks: Vec<String>,
+    slices: impl Iterator<Item = JsonValue>,
+    other_data: JsonValue,
+) -> io::Result<()> {
+    let mut trace_events: Vec<JsonValue> = tracks
+        .into_iter()
+        .enumerate()
+        .map(|(tid, name)| {
+            JsonValue::object([
+                ("name".into(), "thread_name".into()),
+                ("ph".into(), "M".into()),
+                ("pid".into(), 1u64.into()),
+                ("tid".into(), (tid as u64).into()),
+                (
+                    "args".into(),
+                    JsonValue::object([("name".into(), name.into())]),
+                ),
+            ])
+        })
+        .collect();
+    trace_events.extend(slices);
     let doc = JsonValue::object([
         ("traceEvents".into(), JsonValue::Array(trace_events)),
         ("displayTimeUnit".into(), "ns".into()),
-        (
-            "otherData".into(),
-            JsonValue::object([
-                ("schema".into(), "mlc-chrome-trace/1".into()),
-                ("cpu_cycle_ns".into(), cpu_cycle_ns.into()),
-                ("sample_every".into(), tracer.every().into()),
-                ("truncated".into(), tracer.truncated().into()),
-            ]),
-        ),
+        ("otherData".into(), other_data),
     ]);
+    let mut w = io::BufWriter::new(w);
     writeln!(w, "{}", doc.to_string_compact())?;
     w.flush()
 }

@@ -20,6 +20,7 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::digest::Fnv64;
+use crate::events::write_chrome_doc;
 use crate::json::JsonValue;
 
 /// The schema tag stamped into `otherData` of a span Chrome trace.
@@ -153,22 +154,9 @@ pub fn valid_trace_id(id: &str) -> bool {
 ///
 /// Any I/O error from `w`.
 pub fn write_span_chrome_trace<W: Write>(w: W, spans: &[SpanRecord]) -> io::Result<()> {
-    let mut w = io::BufWriter::new(w);
-    let mut trace_events = Vec::new();
-    for stage in Stage::ALL {
-        trace_events.push(JsonValue::object([
-            ("name".into(), "thread_name".into()),
-            ("ph".into(), "M".into()),
-            ("pid".into(), 1u64.into()),
-            ("tid".into(), (stage.index() as u64).into()),
-            (
-                "args".into(),
-                JsonValue::object([("name".into(), stage.as_str().into())]),
-            ),
-        ]));
-    }
-    for span in spans {
-        trace_events.push(JsonValue::object([
+    let tracks = Stage::ALL.iter().map(|s| s.as_str().to_owned()).collect();
+    let slices = spans.iter().map(|span| {
+        JsonValue::object([
             ("name".into(), span.stage.as_str().into()),
             ("cat".into(), "request".into()),
             ("ph".into(), "X".into()),
@@ -184,22 +172,17 @@ pub fn write_span_chrome_trace<W: Write>(w: W, spans: &[SpanRecord]) -> io::Resu
                     ("span_id".into(), span.span_id.into()),
                 ]),
             ),
-        ]));
-    }
-    let doc = JsonValue::object([
-        ("traceEvents".into(), JsonValue::Array(trace_events)),
-        ("displayTimeUnit".into(), "ns".into()),
-        (
-            "otherData".into(),
-            JsonValue::object([
-                ("schema".into(), SPAN_TRACE_SCHEMA.into()),
-                ("spans".into(), (spans.len() as u64).into()),
-            ]),
-        ),
-    ]);
-    w.write_all(doc.to_string_pretty().as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
+        ])
+    });
+    write_chrome_doc(
+        w,
+        tracks,
+        slices,
+        JsonValue::object([
+            ("schema".into(), SPAN_TRACE_SCHEMA.into()),
+            ("spans".into(), (spans.len() as u64).into()),
+        ]),
+    )
 }
 
 #[cfg(test)]

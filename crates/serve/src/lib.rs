@@ -60,6 +60,4 @@ pub use server::{
     Submission, SubmitError, SubmitOutcome, TraceLoader,
 };
 pub use stats::{shard_of, ServerStats, STATS_SHARDS};
-pub use store::{
-    grid_from_journal, rows_from_journal, DiskStore, EvictReport, JobSpec, JOB_SPEC_SCHEMA,
-};
+pub use store::{grid_from_journal, DiskStore, EvictReport, JobSpec, JOB_SPEC_SCHEMA};

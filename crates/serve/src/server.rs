@@ -30,7 +30,7 @@
 //! refetch), never pins server memory. Degradation is counted
 //! ([`Server::stats`]) and mirrored into `mlc-obs` metrics.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader};
@@ -44,7 +44,7 @@ use mlc_cache::ByteSize;
 use mlc_core::{DesignGrid, Explorer, GridRow, SweepEngine};
 use mlc_obs::json::JsonValue;
 use mlc_obs::span::{mint_trace_id, valid_trace_id, Stage};
-use mlc_obs::{digest_records_hex, JournalHeader, JournalRow, JournalWriter, Metrics};
+use mlc_obs::{digest_records_hex, JournalHeader, JournalWriter, Metrics};
 use mlc_sim::machine::BaseMachine;
 use mlc_trace::TraceRecord;
 
@@ -53,7 +53,7 @@ use crate::chaos::FaultInjector;
 use crate::key::{job_key, key_stem};
 use crate::proto::{Source, Stats, SubmitRequest, PROTO, STATS_SCHEMA};
 use crate::stats::ServerStats;
-use crate::store::{rows_from_journal, DiskStore, JobSpec};
+use crate::store::{DiskStore, JobSpec};
 
 /// How a server turns a trace path into records. Injectable so the
 /// daemon binary can plug in quarantine-aware ingestion while the
@@ -576,7 +576,8 @@ impl Server {
         }
     }
 
-    /// Current statistics (the `pong` payload).
+    /// Current counters: the raw snapshot behind the startup banner and
+    /// the `counters`/`tiers` sections of the `mlc-stats/1` document.
     pub fn stats(&self) -> Stats {
         let disk = self.cache.disk();
         let (disk_evictions, disk_evicted_bytes) = disk.eviction_totals();
@@ -960,7 +961,7 @@ impl Server {
             disk.discard_job(stem);
             return Err("trace content changed since the journal was written; discarded".into());
         }
-        let completed = rows_from_journal(&journal);
+        let completed: Vec<GridRow> = journal.rows.iter().map(GridRow::from).collect();
         let job = Arc::new(Job::new(
             spec.key.clone(),
             trace_id,
@@ -991,7 +992,7 @@ impl Server {
         trace: Vec<TraceRecord>,
         header: JournalHeader,
         engine: SweepEngine,
-        writer: JournalWriter,
+        mut writer: JournalWriter,
         completed: Vec<GridRow>,
     ) {
         let key = job.key.clone();
@@ -1003,84 +1004,58 @@ impl Server {
         let mut base = BaseMachine::new();
         base.l1_total(ByteSize::new(header.l1_bytes));
         let explorer = Explorer::new(&trace, header.warmup as usize);
-        let done_rows: BTreeSet<usize> = completed.iter().map(|r| r.size_idx).collect();
-        let todo: Vec<usize> = (0..sizes.len())
-            .filter(|i| !done_rows.contains(i))
-            .collect();
 
-        let journal = Mutex::new(writer);
-        let sink_error: Mutex<Option<io::Error>> = Mutex::new(None);
-        let sink = |row: &GridRow| {
-            let jrow = JournalRow {
-                row: row.size_idx as u64,
-                total: row.total.clone(),
-                l2_local: row.l2_local,
-                l2_global: row.l2_global,
-                m_l1_global: row.m_l1_global,
-                cpu_cycle_ns: row.cpu_cycle_ns,
-            };
-            let mut writer = journal.lock().unwrap_or_else(|p| p.into_inner());
-            // Sleeping *inside* the journal lock serializes the delay:
-            // rows land row_delay apart even though they compute in
-            // parallel, so a test kill always finds a partial journal.
-            if !self.row_delay.is_zero() {
-                std::thread::sleep(self.row_delay);
-            }
-            // Chaos shim: an armed injector fails the append the way a
-            // full disk would, before any bytes move.
-            let result = match self.chaos.journal_append_fault() {
-                Some(fault) => Err(fault),
-                None => writer.append_row(&jrow),
-            };
-            match result {
-                Err(e) => {
-                    sink_error
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .get_or_insert(e);
+        let t = Instant::now();
+        let run = explorer.l2_grid_checkpointed(
+            engine,
+            &base,
+            &sizes,
+            &header.cycles,
+            ways,
+            completed,
+            |row| {
+                // Sleeping *inside* the journal lock serializes the delay:
+                // rows land row_delay apart even though they compute in
+                // parallel, so a test kill always finds a partial journal.
+                if !self.row_delay.is_zero() {
+                    std::thread::sleep(self.row_delay);
                 }
+                // Chaos shim: an armed injector fails the append the way a
+                // full disk would, before any bytes move.
+                if let Some(fault) = self.chaos.journal_append_fault() {
+                    return Err(fault);
+                }
+                writer.append_row(row)?;
                 // Only a journalled row is progress: the row is not
                 // durable otherwise, and a resume would recompute it.
-                Ok(()) => job.progress(row.size_idx as u64),
-            }
-        };
-        let t = Instant::now();
-        let results =
-            explorer.try_l2_rows(engine, &base, &sizes, &header.cycles, ways, &todo, sink);
+                job.progress(row.row);
+                Ok(())
+            },
+        );
         self.telemetry
             .record_span(Stage::Simulate, &job.trace_id, t);
         // Close the journal before commit renames the file.
-        drop(journal.into_inner().unwrap_or_else(|p| p.into_inner()));
+        drop(writer);
 
-        let mut rows = completed;
-        let mut failures = Vec::new();
-        for r in results {
-            match r {
-                Ok(row) => rows.push(row),
-                Err(f) => failures.push(f),
-            }
-        }
-        let sink_error = sink_error.into_inner().unwrap_or_else(|p| p.into_inner());
-        let result: Result<Arc<DesignGrid>, JobError> = if let Some(e) = sink_error {
+        let result: Result<Arc<DesignGrid>, JobError> = if let Some(e) = run.append_error {
             // Transient disk failure: the journal keeps whatever rows
             // landed before it, so a retry resumes, not restarts.
             Err(JobError {
                 message: format!("journal write failed: {e}"),
                 retryable: true,
             })
-        } else if let Some(first) = failures.first() {
+        } else if let Some(first) = run.failures.first() {
             // Simulation failures are deterministic: the same request
             // fails the same way. Not retryable.
             Err(JobError {
                 message: format!(
                     "{} of {} grid row(s) failed; first: {first}",
-                    failures.len(),
+                    run.failures.len(),
                     sizes.len()
                 ),
                 retryable: false,
             })
         } else {
-            let grid = DesignGrid::from_rows(&sizes, &header.cycles, ways, &rows);
             // Commit and budget enforcement are separate stages: the
             // rename-and-sync is the durability cost every job pays,
             // eviction only bites when the disk tier is over budget.
@@ -1098,7 +1073,7 @@ impl Server {
                         self.metrics
                             .add("serve.disk_evicted_bytes", evicted.evicted_bytes);
                     }
-                    let grid = Arc::new(grid);
+                    let grid = Arc::new(run.grid);
                     self.cache.insert(&key, grid.clone());
                     self.jobs_computed.fetch_add(1, Ordering::Relaxed);
                     self.metrics.add("serve.jobs_computed", 1);
@@ -1146,7 +1121,7 @@ fn open_spool_journal(
     if path.exists() {
         if let Ok((writer, journal)) = JournalWriter::resume(&path) {
             if job_key(&journal.header) == key {
-                return Ok((writer, rows_from_journal(&journal)));
+                return Ok((writer, journal.rows.iter().map(GridRow::from).collect()));
             }
         }
         // Unreadable or mismatched: start over.

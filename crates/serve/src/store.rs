@@ -77,22 +77,6 @@ pub struct EvictReport {
     pub evicted_bytes: u64,
 }
 
-/// Converts a journal's committed rows to sweep grid rows.
-pub fn rows_from_journal(journal: &Journal) -> Vec<GridRow> {
-    journal
-        .rows
-        .iter()
-        .map(|r| GridRow {
-            size_idx: r.row as usize,
-            total: r.total.clone(),
-            l2_local: r.l2_local,
-            l2_global: r.l2_global,
-            m_l1_global: r.m_l1_global,
-            cpu_cycle_ns: r.cpu_cycle_ns,
-        })
-        .collect()
-}
-
 /// Assembles the design grid a (complete) journal describes.
 pub fn grid_from_journal(journal: &Journal) -> DesignGrid {
     let sizes: Vec<ByteSize> = journal
@@ -105,7 +89,7 @@ pub fn grid_from_journal(journal: &Journal) -> DesignGrid {
         &sizes,
         &journal.header.cycles,
         journal.header.ways as u32,
-        &rows_from_journal(journal),
+        &journal.rows.iter().map(GridRow::from).collect::<Vec<_>>(),
     )
 }
 
