@@ -7,10 +7,10 @@
 //! machine-readable `BENCH_sweep.json` (schema `mlc-bench/1`, rendered
 //! by `mlc-obs`) at the workspace root so the repo's perf trajectory is
 //! tracked run over run. A second report, `BENCH_ingest.json`, breaks
-//! the pipeline into stages — binary trace ingestion (`Read`-based vs
-//! zero-copy slice decode), the solo-miss stack pass (serial vs
-//! set-sharded), and the grid sweep — so stage-level regressions are
-//! visible even when the end-to-end number holds.
+//! the pipeline into stages — binary trace ingestion (slice decode),
+//! the solo-miss stack pass (serial vs set-sharded), and the grid sweep
+//! — so stage-level regressions are visible even when the end-to-end
+//! number holds.
 //!
 //! Environment knobs:
 //!
@@ -31,7 +31,7 @@ use mlc_cache::ByteSize;
 use mlc_core::{size_ladder, verify_grids, DesignGrid, Explorer, SoloMissSweep, SweepEngine};
 use mlc_obs::json::JsonValue;
 use mlc_sim::machine::BaseMachine;
-use mlc_trace::binary::{read_binary_with, write_compressed};
+use mlc_trace::binary::write_compressed;
 use mlc_trace::slice::read_binary_slice_with;
 use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
 use mlc_trace::FaultPolicy;
@@ -193,9 +193,8 @@ fn main() {
 
     // ------------------------------------------------------------------
     // Per-stage throughput: how fast each stage of the pipeline moves
-    // records on this workload — ingestion (Read-based vs zero-copy
-    // slice decode), the Mattson stack pass (serial vs set-sharded),
-    // and the grid sweep from above.
+    // records on this workload — ingestion (slice decode), the Mattson
+    // stack pass (serial vs set-sharded), and the grid sweep from above.
     // ------------------------------------------------------------------
     println!("\nper-stage throughput ({records} records):");
     let stage_rps = |t: Duration, n: usize| n as f64 / t.as_secs_f64();
@@ -206,20 +205,15 @@ fn main() {
         ])
     };
 
-    // Ingest: decode the compressed binary layout from memory, so both
-    // paths read identical bytes and the difference is decode machinery.
+    // Ingest: decode the compressed binary layout from memory, so the
+    // stage times decode machinery, not the disk.
     let mut encoded = Vec::new();
     write_compressed(&mut encoded, &trace).expect("in-memory encode");
-    let t_ingest_read = time_stage(samples, || {
-        read_binary_with(&encoded[..], FaultPolicy::Fail, None).expect("clean payload")
-    });
     let t_ingest_slice = time_stage(samples, || {
         read_binary_slice_with(&encoded, FaultPolicy::Fail, None).expect("clean payload")
     });
-    let ingest_speedup = t_ingest_read.as_secs_f64() / t_ingest_slice.as_secs_f64();
     println!(
-        "ingest  read  {:>10.2} Mrec/s   slice {:>10.2} Mrec/s   speedup {ingest_speedup:.2}x",
-        stage_rps(t_ingest_read, records) / 1e6,
+        "ingest  slice {:>10.2} Mrec/s",
         stage_rps(t_ingest_slice, records) / 1e6,
     );
 
@@ -277,14 +271,7 @@ fn main() {
             JsonValue::object([
                 (
                     "ingest".into(),
-                    stage(
-                        "read",
-                        t_ingest_read,
-                        records,
-                        "slice",
-                        t_ingest_slice,
-                        records,
-                    ),
+                    JsonValue::object([("slice".into(), stage_entry(t_ingest_slice, records))]),
                 ),
                 ("stack".into(), stack_stage),
                 (

@@ -78,14 +78,8 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
     let timer = obs.metrics.time_phase("read_trace");
     let (records, ingest, sidecar) = mlc_cli::read_trace_file_with(&trace_path, fault_policy)?;
     timer.stop();
-    if ingest.quarantined > 0 {
-        eprintln!(
-            "warning: quarantined {} malformed trace record(s){}",
-            ingest.quarantined,
-            sidecar
-                .map(|p| format!("; see {}", p.display()))
-                .unwrap_or_default()
-        );
+    if let Some(warning) = mlc_cli::ingest_warning(&ingest, sidecar.as_deref(), None) {
+        eprintln!("{warning}");
     }
     if records.is_empty() {
         return Err("trace is empty".into());

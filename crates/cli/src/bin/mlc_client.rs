@@ -63,7 +63,6 @@ mod unix {
     use std::time::Duration;
 
     use mlc_cli::args::{parse_int_range, parse_size, parse_size_range, Args, Flag};
-    use mlc_core::{DesignGrid, Table};
     use mlc_obs::json::JsonValue;
     use mlc_obs::Log2Histogram;
     use mlc_serve::{Event, Request, SubmitRequest, PROTO};
@@ -312,28 +311,6 @@ mod unix {
         }
     }
 
-    /// Writes the grid CSV byte-identically to `mlc-sweep --out`.
-    fn write_grid_csv(grid: &DesignGrid, out: &str) -> Result<(), CErr> {
-        let mut headers: Vec<String> = vec!["t_L2 \\ size".into()];
-        headers.extend(grid.sizes.iter().map(|s| s.to_string()));
-        let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let mut csv = Table::new("grid", &header_refs);
-        for (j, &c) in grid.cycles.iter().enumerate() {
-            let mut row = vec![format!("{c}")];
-            row.extend((0..grid.sizes.len()).map(|i| {
-                if grid.total[i][j] == DesignGrid::FAILED {
-                    "FAILED".to_string()
-                } else {
-                    grid.total[i][j].to_string()
-                }
-            }));
-            csv.row(row);
-        }
-        csv.write_csv(out).map_err(|e| CErr::fatal(e.to_string()))?;
-        eprintln!("wrote {out}");
-        Ok(())
-    }
-
     /// Maps a terminal server answer that is not the one the command
     /// wanted into the right client error.
     fn unexpected(context: &str, event: Event) -> CErr {
@@ -429,7 +406,8 @@ mod unix {
                         );
                     }
                     if let Some(out) = args.get("out") {
-                        write_grid_csv(&grid, out)?;
+                        mlc_cli::write_grid_csv(&grid, out)
+                            .map_err(|e| CErr::fatal(e.to_string()))?;
                     }
                     return Ok(());
                 }
@@ -450,7 +428,7 @@ mod unix {
                 println!("key={key}");
                 println!("source={}", source.as_str());
                 if let Some(out) = args.get("out") {
-                    write_grid_csv(&grid, out)?;
+                    mlc_cli::write_grid_csv(&grid, out).map_err(|e| CErr::fatal(e.to_string()))?;
                 }
                 Ok(())
             }

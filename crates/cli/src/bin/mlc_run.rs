@@ -99,19 +99,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let timer = obs.metrics.time_phase("read_trace");
     let (trace, ingest, sidecar) = mlc_cli::read_trace_file_with(&trace_path, fault_policy)?;
     timer.stop();
-    if ingest.quarantined > 0 {
-        eprintln!(
-            "warning: quarantined {} malformed trace record(s){}{}",
-            ingest.quarantined,
-            if ingest.truncated {
-                " (input truncated)"
-            } else {
-                ""
-            },
-            sidecar
-                .map(|p| format!("; see {}", p.display()))
-                .unwrap_or_default()
-        );
+    if let Some(warning) = mlc_cli::ingest_warning(&ingest, sidecar.as_deref(), None) {
+        eprintln!("{warning}");
     }
     obs.metrics.add("trace.quarantined", ingest.quarantined);
     let warmup = (trace.len() as f64 * warmup_frac.clamp(0.0, 0.95)) as usize;

@@ -126,24 +126,13 @@ mod unix {
         Box::new(move |path, trace_id| {
             let (records, ingest, sidecar) =
                 mlc_cli::read_trace_file_with(path, policy).map_err(|e| e.to_string())?;
-            if ingest.quarantined > 0 {
-                let ctx = if trace_id.is_empty() {
-                    String::new()
-                } else {
-                    format!(" [trace_id {trace_id}]")
-                };
-                eprintln!(
-                    "warning: quarantined {} malformed trace record(s){}{ctx}",
-                    ingest.quarantined,
-                    sidecar
-                        .as_ref()
-                        .map(|p| format!("; see {}", p.display()))
-                        .unwrap_or_default()
-                );
-                if let (Some(sidecar), false) = (sidecar, trace_id.is_empty()) {
+            let id = Some(trace_id).filter(|id| !id.is_empty());
+            if let Some(warning) = mlc_cli::ingest_warning(&ingest, sidecar.as_deref(), id) {
+                eprintln!("{warning}");
+                if let (Some(sidecar), Some(id)) = (sidecar, id) {
                     let meta = mlc_obs::json::JsonValue::object([
                         ("schema".into(), "mlc-quarantine-ctx/1".into()),
-                        ("trace_id".into(), trace_id.into()),
+                        ("trace_id".into(), id.into()),
                         ("quarantined".into(), ingest.quarantined.into()),
                     ]);
                     let mut line = meta.to_string_compact();

@@ -15,13 +15,12 @@ use mlc_cli::args::{parse_choice, parse_int_range, parse_size_range, Args, Flag}
 use mlc_cli::machine_file;
 use mlc_cli::obs::{obs_flags, Observability};
 use mlc_core::{
-    constant_performance_lines, fmt_f2, slopes_cycles_per_doubling, verify_grids, DesignGrid,
-    Explorer, GridRow, SlopeRegion, SweepEngine, Table,
+    constant_performance_lines, fmt_f2, slopes_cycles_per_doubling, validate_grid, verify_grids,
+    DesignGrid, Explorer, GridRow, SlopeRegion, SweepEngine, Table,
 };
 use mlc_obs::json::JsonValue;
 use mlc_obs::{digest_records_hex, JournalHeader, JournalWriter, RunManifest};
 use mlc_sim::machine::BaseMachine;
-use mlc_sim::HierarchyConfig;
 
 fn flags() -> Vec<Flag> {
     let mut flags = vec![
@@ -104,34 +103,6 @@ fn flags() -> Vec<Flag> {
     ];
     flags.extend(obs_flags());
     flags
-}
-
-/// Builds every grid point's configuration up front, so an invalid
-/// combination surfaces as a typed error here instead of a panic inside
-/// the parallel sweep. Returns the first point's configuration (for the
-/// manifest's resolved machine description).
-fn validate_grid(
-    l1: ByteSize,
-    sizes: &[ByteSize],
-    cycles: &[u64],
-    ways: u32,
-) -> Result<HierarchyConfig, String> {
-    let mut first = None;
-    for &size in sizes {
-        for &c in cycles {
-            let config = BaseMachine::new()
-                .l1_total(l1)
-                .l2_total(size)
-                .l2_cycles(c)
-                .l2_ways(ways)
-                .build()
-                .map_err(|e| format!("invalid grid point [L2 {size}, {c} cycles]: {e}"))?;
-            if first.is_none() {
-                first = Some(config);
-            }
-        }
-    }
-    first.ok_or_else(|| "empty grid: need at least one size and one cycle time".into())
 }
 
 /// Lints every grid point of the sweep, deduplicating findings that
@@ -285,19 +256,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let timer = obs.metrics.time_phase("read_trace");
     let (trace, ingest, sidecar) = mlc_cli::read_trace_file_with(&trace_path, fault_policy)?;
     timer.stop();
-    if ingest.quarantined > 0 {
-        eprintln!(
-            "warning: quarantined {} malformed trace record(s){}{}",
-            ingest.quarantined,
-            if ingest.truncated {
-                " (input truncated)"
-            } else {
-                ""
-            },
-            sidecar
-                .map(|p| format!("; see {}", p.display()))
-                .unwrap_or_default()
-        );
+    if let Some(warning) = mlc_cli::ingest_warning(&ingest, sidecar.as_deref(), None) {
+        eprintln!("{warning}");
     }
     obs.metrics.add("trace.quarantined", ingest.quarantined);
     let warmup = (trace.len() as f64 * warmup_frac.clamp(0.0, 0.95)) as usize;
@@ -490,20 +450,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if let Some(out) = args.get("out") {
-        let mut csv = Table::new("grid", &header_refs);
-        for (j, &c) in grid.cycles.iter().enumerate() {
-            let mut row = vec![format!("{c}")];
-            row.extend((0..sizes.len()).map(|i| {
-                if grid.total[i][j] == DesignGrid::FAILED {
-                    "FAILED".to_string()
-                } else {
-                    grid.total[i][j].to_string()
-                }
-            }));
-            csv.row(row);
-        }
-        csv.write_csv(out)?;
-        eprintln!("wrote {out}");
+        mlc_cli::write_grid_csv(&grid, out)?;
     }
     println!(
         "L1 global read miss ratio {:.4} (1/M_L1 = {:.1})",

@@ -30,6 +30,7 @@ use std::fs::File;
 use std::io::{self, BufReader, Write};
 use std::path::{Path, PathBuf};
 
+use mlc_core::{DesignGrid, Table};
 use mlc_trace::{binary, din, slice, FaultPolicy, IngestReport, TraceError, TraceRecord};
 
 use crate::args::{Args, Flag};
@@ -186,6 +187,63 @@ pub fn read_trace_file_with(
     Ok((records, report, written))
 }
 
+/// The warning a degraded read prints, or `None` when nothing was
+/// quarantined: the count, whether the input was truncated, the
+/// sidecar to look in, and the submission's trace id when a daemon
+/// ingested the trace on a client's behalf.
+pub fn ingest_warning(
+    report: &IngestReport,
+    sidecar: Option<&Path>,
+    trace_id: Option<&str>,
+) -> Option<String> {
+    if report.quarantined == 0 {
+        return None;
+    }
+    let mut warning = format!(
+        "warning: quarantined {} malformed trace record(s)",
+        report.quarantined
+    );
+    if report.truncated {
+        warning.push_str(" (input truncated)");
+    }
+    if let Some(p) = sidecar {
+        warning.push_str(&format!("; see {}", p.display()));
+    }
+    if let Some(id) = trace_id {
+        warning.push_str(&format!(" [trace_id {id}]"));
+    }
+    Some(warning)
+}
+
+/// Writes an execution-time grid to `out` as CSV — one row per L2
+/// cycle time, one column per L2 size, `FAILED` for a failed point —
+/// and notes the path on stderr. `mlc-sweep --out` and `mlc-client
+/// --out` both write through here, so their files are byte-identical.
+///
+/// # Errors
+///
+/// Returns any I/O error from creating or writing the file.
+pub fn write_grid_csv(grid: &DesignGrid, out: &str) -> io::Result<()> {
+    let mut headers: Vec<String> = vec!["t_L2 \\ size".into()];
+    headers.extend(grid.sizes.iter().map(|s| s.to_string()));
+    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
+    let mut csv = Table::new("grid", &header_refs);
+    for (j, &c) in grid.cycles.iter().enumerate() {
+        let mut row = vec![format!("{c}")];
+        row.extend((0..grid.sizes.len()).map(|i| {
+            if grid.total[i][j] == DesignGrid::FAILED {
+                "FAILED".to_string()
+            } else {
+                grid.total[i][j].to_string()
+            }
+        }));
+        csv.row(row);
+    }
+    csv.write_csv(out)?;
+    eprintln!("wrote {out}");
+    Ok(())
+}
+
 /// Writes a trace file, dispatching on extension: `.din` writes Dinero
 /// text, `.mlcz` the delta-compressed binary layout, anything else the
 /// fixed-width binary layout.
@@ -223,6 +281,29 @@ mod tests {
             assert_eq!(read_trace_file(&path).unwrap(), records, "{name}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ingest_warning_forms() {
+        let clean = IngestReport::default();
+        assert_eq!(ingest_warning(&clean, None, None), None);
+        let report = IngestReport {
+            quarantined: 2,
+            truncated: false,
+        };
+        assert_eq!(
+            ingest_warning(&report, None, None).unwrap(),
+            "warning: quarantined 2 malformed trace record(s)"
+        );
+        let report = IngestReport {
+            quarantined: 3,
+            truncated: true,
+        };
+        assert_eq!(
+            ingest_warning(&report, Some(Path::new("t.din.quarantine")), Some("job-7")).unwrap(),
+            "warning: quarantined 3 malformed trace record(s) (input truncated); \
+             see t.din.quarantine [trace_id job-7]"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use mlc_obs::{JournalRow, Metrics, Progress};
 use mlc_sim::machine::BaseMachine;
 use mlc_sim::{
     simulate_timing_sweep_observed, simulate_with_warmup, simulate_with_warmup_observed, solo,
-    LevelCacheConfig, SimResult,
+    HierarchyConfig, LevelCacheConfig, SimResult,
 };
 use mlc_trace::TraceRecord;
 
@@ -568,6 +568,48 @@ pub fn size_ladder(lo: ByteSize, hi: ByteSize) -> Vec<ByteSize> {
         s <<= 1;
     }
     out
+}
+
+/// Builds every point of an L2 (size × cycle time) grid on the base
+/// machine with an `l1` split L1, so an invalid combination surfaces as
+/// a typed error before a sweep starts instead of a panic inside the
+/// parallel sweep. Returns the first point's configuration.
+///
+/// # Errors
+///
+/// Names the first invalid point (`invalid grid point [L2 SIZE, C
+/// cycles]: …`), or reports an empty grid.
+///
+/// # Examples
+///
+/// ```
+/// use mlc_cache::ByteSize;
+/// use mlc_core::validate_grid;
+///
+/// let sizes = [ByteSize::kib(64), ByteSize::kib(128)];
+/// assert!(validate_grid(ByteSize::kib(4), &sizes, &[1, 2], 1).is_ok());
+/// assert!(validate_grid(ByteSize::kib(4), &sizes, &[], 1).is_err());
+/// ```
+pub fn validate_grid(
+    l1: ByteSize,
+    sizes: &[ByteSize],
+    cycles: &[u64],
+    ways: u32,
+) -> Result<HierarchyConfig, String> {
+    let mut first = None;
+    for &size in sizes {
+        for &c in cycles {
+            let config = BaseMachine::new()
+                .l1_total(l1)
+                .l2_total(size)
+                .l2_cycles(c)
+                .l2_ways(ways)
+                .build()
+                .map_err(|e| format!("invalid grid point [L2 {size}, {c} cycles]: {e}"))?;
+            first.get_or_insert(config);
+        }
+    }
+    first.ok_or_else(|| "empty grid: need at least one size and one cycle time".into())
 }
 
 #[cfg(test)]

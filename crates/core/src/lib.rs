@@ -67,7 +67,9 @@ pub use attribution::{
 pub use breakeven::{
     empirical_break_even_cycles, inputs_from_sim, BreakEvenInputs, TTL_MUX_OVERHEAD_NS,
 };
-pub use explore::{size_ladder, DesignGrid, Explorer, GridRow, GridRun, MissRatioPoint};
+pub use explore::{
+    size_ladder, validate_grid, DesignGrid, Explorer, GridRow, GridRun, MissRatioPoint,
+};
 pub use isoperf::{
     constant_performance_lines, constant_performance_lines_abs, mean_line_shift,
     slope_boundary_size, slope_profile, slopes_cycles_per_doubling, IsoPerfLine, IsoPoint,

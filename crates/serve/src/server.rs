@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mlc_cache::ByteSize;
-use mlc_core::{DesignGrid, Explorer, GridRow, SweepEngine};
+use mlc_core::{validate_grid, DesignGrid, Explorer, GridRow, SweepEngine};
 use mlc_obs::json::JsonValue;
 use mlc_obs::span::{mint_trace_id, valid_trace_id, Stage};
 use mlc_obs::{digest_records_hex, JournalHeader, JournalWriter, Metrics};
@@ -766,7 +766,9 @@ impl Server {
         let engine: SweepEngine = req.engine.parse().map_err(SubmitError::Invalid)?;
         let ways = u32::try_from(req.ways)
             .map_err(|_| SubmitError::Invalid(format!("ways {} overflows u32", req.ways)))?;
-        validate_grid(req.l1_bytes, &req.sizes, &req.cycles, ways).map_err(SubmitError::Invalid)?;
+        let sizes: Vec<ByteSize> = req.sizes.iter().map(|&s| ByteSize::new(s)).collect();
+        validate_grid(ByteSize::new(req.l1_bytes), &sizes, &req.cycles, ways)
+            .map_err(SubmitError::Invalid)?;
         self.telemetry
             .record_span(Stage::Admission, &trace_id, admission_start);
 
@@ -1128,30 +1130,4 @@ fn open_spool_journal(
         std::fs::remove_file(&path)?;
     }
     Ok((JournalWriter::create(&path, header)?, Vec::new()))
-}
-
-/// Builds every grid point's configuration up front, so an invalid
-/// combination is a typed submission error instead of a panic inside
-/// the parallel sweep.
-fn validate_grid(l1_bytes: u64, sizes: &[u64], cycles: &[u64], ways: u32) -> Result<(), String> {
-    if sizes.is_empty() || cycles.is_empty() {
-        return Err("empty grid: need at least one size and one cycle time".into());
-    }
-    for &size in sizes {
-        for &c in cycles {
-            BaseMachine::new()
-                .l1_total(ByteSize::new(l1_bytes))
-                .l2_total(ByteSize::new(size))
-                .l2_cycles(c)
-                .l2_ways(ways)
-                .build()
-                .map_err(|e| {
-                    format!(
-                        "invalid grid point [L2 {}, {c} cycles]: {e}",
-                        ByteSize::new(size)
-                    )
-                })?;
-        }
-    }
-    Ok(())
 }

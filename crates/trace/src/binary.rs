@@ -25,13 +25,16 @@
 //! instruction fetches and stack-local data references cost a single
 //! byte each — typically 4–6× smaller than v1.
 //!
-//! [`read_binary`] reads either version transparently.
+//! [`read_binary`] reads either version transparently. This module owns
+//! the format — header, writers, zigzag and varint encoding; decoding
+//! lives in [`slice`](crate::slice), which `read_binary` calls after
+//! reading the stream into memory.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 
 use crate::error::TraceError;
-use crate::fault::{absorb_fault, hex_bytes, FaultPolicy, IngestReport};
-use crate::record::{AccessKind, Address, TraceRecord};
+use crate::fault::{FaultPolicy, IngestReport};
+use crate::record::{AccessKind, TraceRecord};
 
 /// The 4-byte magic at the start of every binary trace.
 pub const MAGIC: [u8; 4] = *b"MLCT";
@@ -129,23 +132,11 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Vec<TraceRecord>, TraceError> {
     read_binary_with(reader, FaultPolicy::Fail, None).map(|(records, _)| records)
 }
 
-/// Reads `buf.len()` bytes unless the stream ends first; `Ok(n)` is the
-/// byte count delivered (so a short count distinguishes clean EOF from
-/// an I/O error).
-fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    let mut n = 0;
-    while n < buf.len() {
-        match reader.read(&mut buf[n..]) {
-            Ok(0) => break,
-            Ok(m) => n += m,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(n)
-}
-
 /// Reads a binary trace under a [`FaultPolicy`].
+///
+/// The stream is read to its end into memory and decoded by
+/// [`read_binary_slice_with`](crate::slice::read_binary_slice_with), so
+/// peak memory is the input bytes plus the decoded records.
 ///
 /// Recoverable faults under [`FaultPolicy::Skip`] — each quarantined
 /// (as a hex-dumped sidecar line) and skipped until the budget runs
@@ -168,7 +159,8 @@ fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
 ///
 /// Under [`FaultPolicy::Fail`], exactly the errors of [`read_binary`].
 /// Under [`FaultPolicy::Skip`], [`TraceError::FaultBudget`] once the
-/// budget is exceeded, the fatal cases above, or any I/O error.
+/// budget is exceeded, the fatal cases above, or any I/O error. An I/O
+/// error at any offset, the header included, is [`TraceError::Io`].
 ///
 /// # Examples
 ///
@@ -186,257 +178,13 @@ fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
 /// # Ok::<(), mlc_trace::TraceError>(())
 /// ```
 pub fn read_binary_with<R: Read>(
-    reader: R,
+    mut reader: R,
     policy: FaultPolicy,
     quarantine: Option<&mut dyn Write>,
 ) -> Result<(Vec<TraceRecord>, IngestReport), TraceError> {
-    let mut quarantine = quarantine;
-    let mut report = IngestReport::default();
-    let mut reader = io::BufReader::new(reader);
-    let mut header = [0u8; HEADER_LEN];
-    reader
-        .read_exact(&mut header)
-        .map_err(|_| TraceError::ParseBinary("truncated header".into()))?;
-    if header[..4] != MAGIC {
-        return Err(TraceError::ParseBinary("bad magic".into()));
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != VERSION && version != VERSION_COMPRESSED {
-        return Err(TraceError::ParseBinary(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let stored_check = u16::from_le_bytes([header[6], header[7]]);
-    if stored_check != header_check(&header) {
-        return Err(TraceError::ParseBinary(
-            "header check mismatch (corrupt version or record count)".into(),
-        ));
-    }
-    let mut count_bytes = [0u8; 8];
-    count_bytes.copy_from_slice(&header[8..16]);
-    let count = u64::from_le_bytes(count_bytes);
-    let count: usize = count
-        .try_into()
-        .map_err(|_| TraceError::ParseBinary("record count overflows usize".into()))?;
-    let mut out = Vec::with_capacity(count.min(1 << 24));
-    match version {
-        VERSION => {
-            let mut rec = [0u8; RECORD_LEN];
-            let mut i = 0;
-            while i < count {
-                // Fast path: decode every whole record already sitting
-                // in the reader's buffer straight from the slice — one
-                // fill_buf/consume round trip per buffer, not per
-                // record.
-                let buffered = match reader.fill_buf() {
-                    Ok(buf) => buf,
-                    // Retried by the slow path's `read_full`.
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => &[],
-                    Err(e) => return Err(e.into()),
-                };
-                if buffered.len() >= RECORD_LEN {
-                    let whole = (buffered.len() / RECORD_LEN).min(count - i);
-                    let mut used = 0;
-                    for _ in 0..whole {
-                        let rec = &buffered[used..used + RECORD_LEN];
-                        used += RECORD_LEN;
-                        match AccessKind::from_din_label(rec[0]) {
-                            None => absorb_fault(
-                                policy,
-                                &mut report,
-                                &mut quarantine,
-                                &format!("record {i}: bad kind {} ({})", rec[0], hex_bytes(rec)),
-                                TraceError::ParseBinary(format!(
-                                    "bad kind {} at record {i}",
-                                    rec[0]
-                                )),
-                            )?,
-                            Some(kind) => {
-                                let mut addr_bytes = [0u8; 8];
-                                addr_bytes.copy_from_slice(&rec[1..9]);
-                                let addr = u64::from_le_bytes(addr_bytes);
-                                out.push(TraceRecord::new(kind, Address::new(addr)));
-                            }
-                        }
-                        i += 1;
-                    }
-                    reader.consume(used);
-                    continue;
-                }
-                // Slow path: a record spanning a buffer refill, or the
-                // stream's tail.
-                let got = read_full(&mut reader, &mut rec)?;
-                if got < RECORD_LEN {
-                    absorb_fault(
-                        policy,
-                        &mut report,
-                        &mut quarantine,
-                        &format!("record {i}: truncated ({})", hex_bytes(&rec[..got])),
-                        TraceError::ParseBinary(format!("truncated at record {i}")),
-                    )?;
-                    report.truncated = true;
-                    return Ok((out, report));
-                }
-                match AccessKind::from_din_label(rec[0]) {
-                    None => absorb_fault(
-                        policy,
-                        &mut report,
-                        &mut quarantine,
-                        &format!("record {i}: bad kind {} ({})", rec[0], hex_bytes(&rec)),
-                        TraceError::ParseBinary(format!("bad kind {} at record {i}", rec[0])),
-                    )?,
-                    Some(kind) => {
-                        let mut addr_bytes = [0u8; 8];
-                        addr_bytes.copy_from_slice(&rec[1..9]);
-                        let addr = u64::from_le_bytes(addr_bytes);
-                        out.push(TraceRecord::new(kind, Address::new(addr)));
-                    }
-                }
-                i += 1;
-            }
-        }
-        VERSION_COMPRESSED => {
-            // A v2 token is at most 1 + 10 bytes; with that many
-            // buffered, a slice decode cannot hit a spurious
-            // truncation.
-            const MAX_TOKEN: usize = 11;
-            let mut last = [0u64; KIND_SLOTS];
-            let mut i = 0;
-            while i < count {
-                // Fast path: decode tokens straight from the buffered
-                // slice while a whole worst-case token fits.
-                let buffered = match reader.fill_buf() {
-                    Ok(buf) => buf,
-                    // Retried by the slow path's `read_full`.
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => &[],
-                    Err(e) => return Err(e.into()),
-                };
-                if buffered.len() >= MAX_TOKEN {
-                    let mut used = 0;
-                    while i < count && used + MAX_TOKEN <= buffered.len() {
-                        match crate::slice::decode_token(buffered, used) {
-                            // Unreachable with MAX_TOKEN bytes
-                            // available, but fall through to the
-                            // byte-wise path rather than trusting that.
-                            crate::slice::Token::Truncated(_) => break,
-                            crate::slice::Token::Invalid(what) => {
-                                return Err(TraceError::ParseBinary(format!(
-                                    "{what} at record {i}"
-                                )));
-                            }
-                            crate::slice::Token::Complete(label, zigzag, len) => {
-                                let token = &buffered[used..used + len];
-                                used += len;
-                                match AccessKind::from_din_label(label) {
-                                    None => absorb_fault(
-                                        policy,
-                                        &mut report,
-                                        &mut quarantine,
-                                        &format!(
-                                            "record {i}: bad kind {label} ({})",
-                                            hex_bytes(token)
-                                        ),
-                                        TraceError::ParseBinary(format!(
-                                            "bad kind {label} at record {i}"
-                                        )),
-                                    )?,
-                                    Some(kind) => {
-                                        let delta = zigzag_decode(zigzag);
-                                        let slot = label as usize;
-                                        let addr = last[slot].wrapping_add(delta as u64);
-                                        last[slot] = addr;
-                                        out.push(TraceRecord::new(kind, Address::new(addr)));
-                                    }
-                                }
-                                i += 1;
-                            }
-                        }
-                    }
-                    reader.consume(used);
-                    if used > 0 {
-                        continue;
-                    }
-                }
-                // Slow path: a token spanning a buffer refill, or the
-                // stream's tail.
-                let mut first = [0u8; 1];
-                if read_full(&mut reader, &mut first)? == 0 {
-                    absorb_fault(
-                        policy,
-                        &mut report,
-                        &mut quarantine,
-                        &format!("record {i}: truncated ()"),
-                        TraceError::ParseBinary(format!("truncated at record {i}")),
-                    )?;
-                    report.truncated = true;
-                    return Ok((out, report));
-                }
-                let mut token = vec![first[0]];
-                let label = first[0] & 0b11;
-                let mut zigzag = u64::from((first[0] >> 2) & 0x1f);
-                if first[0] & 0x80 != 0 {
-                    match read_varint_capturing(&mut reader, &mut token) {
-                        Ok(rest) => zigzag |= rest << 5,
-                        Err(VarintFault::Io(e)) => return Err(e.into()),
-                        Err(VarintFault::Truncated) => {
-                            absorb_fault(
-                                policy,
-                                &mut report,
-                                &mut quarantine,
-                                &format!("record {i}: truncated ({})", hex_bytes(&token)),
-                                TraceError::ParseBinary(format!("truncated at record {i}")),
-                            )?;
-                            report.truncated = true;
-                            return Ok((out, report));
-                        }
-                        // The token boundary is lost: nothing after an
-                        // undecodable varint can be re-framed, so this
-                        // is fatal under every policy.
-                        Err(VarintFault::Invalid(what)) => {
-                            return Err(TraceError::ParseBinary(format!("{what} at record {i}")));
-                        }
-                    }
-                }
-                match AccessKind::from_din_label(label) {
-                    // A bad kind cannot be attributed to a delta slot,
-                    // so the token is dropped without touching the
-                    // tables; framing stays intact, though later
-                    // records in the corrupted record's original slot
-                    // may drift by its lost delta.
-                    None => absorb_fault(
-                        policy,
-                        &mut report,
-                        &mut quarantine,
-                        &format!("record {i}: bad kind {label} ({})", hex_bytes(&token)),
-                        TraceError::ParseBinary(format!("bad kind {label} at record {i}")),
-                    )?,
-                    Some(kind) => {
-                        let delta = zigzag_decode(zigzag);
-                        let slot = label as usize;
-                        let addr = last[slot].wrapping_add(delta as u64);
-                        last[slot] = addr;
-                        out.push(TraceRecord::new(kind, Address::new(addr)));
-                    }
-                }
-                i += 1;
-            }
-        }
-        _ => unreachable!("version was validated against the supported set above"),
-    }
-    // Trailing bytes after the declared count indicate a corrupt header
-    // (count smaller than the payload) or concatenated files. Drain the
-    // stream so the report can name the exact excess.
-    let trailing = io::copy(&mut reader, &mut io::sink())?;
-    if trailing > 0 {
-        absorb_fault(
-            policy,
-            &mut report,
-            &mut quarantine,
-            &format!("trailer: {trailing} trailing bytes after final record"),
-            TraceError::ParseBinary(format!("{trailing} trailing bytes after final record")),
-        )?;
-    }
-    Ok((out, report))
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    crate::slice::read_binary_slice_with(&bytes, policy, quarantine)
 }
 
 /// Writes a trace in the delta-compressed v2 format (see module docs).
@@ -510,83 +258,6 @@ fn write_varint(mut v: u64, buf: &mut [u8; 10]) -> usize {
         buf[n] = byte | 0x80;
         n += 1;
     }
-}
-
-/// Why a varint could not be decoded — split three ways because the
-/// degraded-mode reader treats each differently (stop early, fatal
-/// parse error, fatal I/O error respectively).
-enum VarintFault {
-    /// The stream ended mid-varint.
-    Truncated,
-    /// The encoding itself is invalid; the stream cannot be resynced.
-    Invalid(&'static str),
-    /// The underlying reader failed.
-    Io(io::Error),
-}
-
-/// Decodes an LEB128 varint of at most 10 bytes, appending each
-/// consumed byte to `token` so callers can quarantine the exact bytes.
-///
-/// A `u64` needs at most 10 LEB128 bytes, and the 10th byte can carry
-/// only the top bit of the value; both a continuation past 10 bytes and
-/// significant bits beyond 64 are rejected instead of silently wrapping
-/// the decoded value.
-fn read_varint_capturing<R: BufRead>(
-    reader: &mut R,
-    token: &mut Vec<u8>,
-) -> Result<u64, VarintFault> {
-    const MAX_BYTES: usize = 10;
-    let mut value = 0u64;
-    let mut i = 0;
-    loop {
-        let buf = match reader.fill_buf() {
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(VarintFault::Io(e)),
-            Ok(buf) => buf,
-        };
-        if buf.is_empty() {
-            return Err(VarintFault::Truncated);
-        }
-        // Decode as far as this buffer allows, consuming exactly the
-        // bytes the byte-at-a-time decoder would have read.
-        let mut used = 0;
-        let mut done = None;
-        for &byte in buf {
-            used += 1;
-            token.push(byte);
-            let payload = u64::from(byte & 0x7f);
-            if i == MAX_BYTES - 1 && payload > 1 {
-                done = Some(Err(VarintFault::Invalid("varint overflows 64 bits")));
-                break;
-            }
-            value |= payload << (7 * i);
-            i += 1;
-            if byte & 0x80 == 0 {
-                done = Some(Ok(value));
-                break;
-            }
-            if i == MAX_BYTES {
-                done = Some(Err(VarintFault::Invalid("varint continues past 10 bytes")));
-                break;
-            }
-        }
-        reader.consume(used);
-        if let Some(result) = done {
-            return result;
-        }
-    }
-}
-
-/// [`read_varint_capturing`] with the `io::Error` shape the varint unit
-/// tests and external callers expect.
-#[cfg(test)]
-fn read_varint<R: BufRead>(reader: &mut R) -> io::Result<u64> {
-    let mut token = Vec::new();
-    read_varint_capturing(reader, &mut token).map_err(|f| match f {
-        VarintFault::Io(e) => e,
-        VarintFault::Truncated => io::Error::new(io::ErrorKind::UnexpectedEof, "truncated varint"),
-        VarintFault::Invalid(what) => io::Error::new(io::ErrorKind::InvalidData, what),
-    })
 }
 
 #[cfg(test)]
@@ -681,13 +352,25 @@ mod tests {
         }
     }
 
+    /// A one-record v2 trace whose single token is `first` followed by
+    /// the varint bytes `rest`.
+    fn v2_token(first: u8, rest: &[u8]) -> Vec<u8> {
+        let mut buf = make_header(VERSION_COMPRESSED, 1).to_vec();
+        buf.push(first);
+        buf.extend_from_slice(rest);
+        buf
+    }
+
     #[test]
     fn varint_round_trips() {
+        // A read token (label 0, low zigzag bits 0, continuation set)
+        // carries `v` as its varint tail, so the zigzag is `v << 5`.
         let mut buf = [0u8; 10];
-        for v in [0u64, 1, 127, 128, 300, u64::MAX, 1 << 35] {
+        for v in [0u64, 1, 127, 128, 300, 1 << 35, u64::MAX >> 5] {
             let n = write_varint(v, &mut buf);
-            let back = read_varint(&mut &buf[..n]).unwrap();
-            assert_eq!(back, v);
+            let recs = read_binary(v2_token(0x80, &buf[..n]).as_slice()).unwrap();
+            let addr = zigzag_decode(v << 5) as u64;
+            assert_eq!(recs, vec![TraceRecord::read(addr)], "varint {v}");
         }
         assert_eq!(write_varint(0, &mut buf), 1);
         assert_eq!(write_varint(127, &mut buf), 1);
@@ -794,36 +477,43 @@ mod tests {
 
     #[test]
     fn varint_rejects_continuation_past_ten_bytes() {
-        let bytes = [0x80u8; 11];
-        let err = read_varint(&mut &bytes[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("10 bytes"), "{err}");
+        let err = read_binary(v2_token(0x80, &[0x80u8; 11]).as_slice()).unwrap_err();
+        assert!(matches!(err, TraceError::ParseBinary(_)), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "malformed binary trace: varint continues past 10 bytes at record 0"
+        );
     }
 
     #[test]
     fn varint_rejects_overflow_in_tenth_byte() {
         // Nine continuation bytes then a final byte with more than the
-        // single bit a u64 has left: previously the high bits were
-        // silently discarded.
-        let mut bytes = [0x80u8; 10];
-        bytes[9] = 0x02;
-        let err = read_varint(&mut &bytes[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("overflows"), "{err}");
+        // single bit a u64 has left: the high bits must not be silently
+        // discarded.
+        let mut rest = [0x80u8; 10];
+        rest[9] = 0x02;
+        let err = read_binary(v2_token(0x80, &rest).as_slice()).unwrap_err();
+        assert!(matches!(err, TraceError::ParseBinary(_)), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "malformed binary trace: varint overflows 64 bits at record 0"
+        );
 
-        // The maximum canonical encoding still decodes.
+        // The maximum canonical encoding (u64::MAX) still decodes. With
+        // all five low zigzag bits of the first byte set, the zigzag is
+        // all ones: delta i64::MIN from a zero base, address 1 << 63.
         let mut max = [0xffu8; 10];
         max[9] = 0x01;
-        assert_eq!(read_varint(&mut &max[..]).unwrap(), u64::MAX);
+        let recs = read_binary(v2_token(0x80 | (0x1f << 2), &max).as_slice()).unwrap();
+        assert_eq!(recs, vec![TraceRecord::read(1 << 63)]);
     }
 
     #[test]
     fn compressed_rejects_overlong_varint_token() {
         // kind Read, continuation set, followed by an 11-byte varint.
-        let mut buf = make_header(VERSION_COMPRESSED, 1).to_vec();
-        buf.push(0x80);
-        buf.extend_from_slice(&[0x80u8; 10]);
-        buf.push(0x00);
+        let mut rest = [0x80u8; 11];
+        rest[10] = 0x00;
+        let buf = v2_token(0x80, &rest);
         let err = read_binary(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("varint"), "{err}");
     }
@@ -967,10 +657,9 @@ mod tests {
 
     #[test]
     fn degraded_v2_varint_corruption_is_fatal_even_under_skip() {
-        let mut buf = make_header(VERSION_COMPRESSED, 1).to_vec();
-        buf.push(0x80);
-        buf.extend_from_slice(&[0x80u8; 10]);
-        buf.push(0x00);
+        let mut rest = [0x80u8; 11];
+        rest[10] = 0x00;
+        let buf = v2_token(0x80, &rest);
         let err =
             read_binary_with(buf.as_slice(), FaultPolicy::Skip { budget: 100 }, None).unwrap_err();
         assert!(err.to_string().contains("varint"), "{err}");

@@ -1,25 +1,18 @@
-//! Zero-copy binary trace decoding over in-memory byte slices.
+//! Binary trace decoding over in-memory byte slices.
 //!
-//! The [`binary`](crate::binary) module streams through `Read`, paying a
-//! buffered-reader round trip per record (and, for v2, per varint
-//! *byte* before the fill-buf rework). When the whole trace is already
-//! in memory — a full-buffer file read, an mmap, a network body — the
-//! decoder can instead walk a `&[u8]` directly: no copies into
-//! intermediate record buffers, bounds checks amortized per token, and
-//! the v1 fixed-width payload decoded block-wise.
-//!
-//! The two paths are **behaviourally identical** by contract, and the
-//! `slice_props` property suite enforces it byte-for-byte: identical
-//! records, identical typed error messages, identical quarantine
-//! sidecar lines and [`IngestReport`]s across every-offset truncations
-//! and bit-flips of the input. Anything the `Read` path accepts,
-//! rejects or quarantines, this path accepts, rejects or quarantines
-//! identically — the only divergence is speed.
+//! This is the one decoder for both binary layouts (see
+//! [`binary`](crate::binary) for the format). It walks a `&[u8]` — a
+//! full-buffer file read, an mmap, a network body — directly: no copies
+//! into intermediate record buffers, bounds checks amortized per token,
+//! and the v1 fixed-width payload decoded block-wise. The `Read` entry
+//! points [`read_binary`](crate::binary::read_binary) /
+//! [`read_binary_with`](crate::binary::read_binary_with) read their
+//! stream to the end and call [`read_binary_slice_with`].
 //!
 //! Entry points:
 //!
-//! * [`read_binary_slice`] / [`read_binary_slice_with`] — the slice
-//!   twins of `read_binary` / `read_binary_with`.
+//! * [`read_binary_slice`] / [`read_binary_slice_with`] — decode a
+//!   whole trace, strictly or under a [`FaultPolicy`].
 //! * [`SliceRecords`] — a strict streaming iterator for pipelines that
 //!   want records without materializing a `Vec<TraceRecord>`.
 
@@ -41,8 +34,7 @@ struct SliceHeader {
     count: usize,
 }
 
-/// Parses and validates the 16-byte header, with the exact error
-/// messages of the `Read`-based path.
+/// Parses and validates the 16-byte header.
 fn parse_header(bytes: &[u8]) -> Result<SliceHeader, TraceError> {
     if bytes.len() < HEADER_LEN {
         return Err(TraceError::ParseBinary("truncated header".into()));
@@ -72,23 +64,22 @@ fn parse_header(bytes: &[u8]) -> Result<SliceHeader, TraceError> {
 }
 
 /// Outcome of decoding one v2 token from a slice.
-pub(crate) enum Token {
+enum Token {
     /// `(label, zigzag, token_len)` — a complete token.
     Complete(u8, u64, usize),
     /// The slice ended mid-token; the payload holds every byte consumed
-    /// (possibly none), exactly what the `Read` path would have
-    /// captured for the quarantine line.
+    /// (possibly none), which the quarantine line dumps.
     Truncated(usize),
     /// The varint encoding is invalid; the stream cannot be resynced.
     Invalid(&'static str),
 }
 
-/// Decodes one v2 token starting at `pos`, mirroring the capture
-/// semantics of the streaming `read_varint_capturing` exactly: at most
-/// 1 + 10 bytes, a 10th varint byte may carry only the top bit of the
-/// u64, and continuation past 10 varint bytes is invalid.
+/// Decodes one v2 token starting at `pos`: at most 1 + 10 bytes. A u64
+/// needs at most 10 LEB128 bytes and the 10th can carry only the top
+/// bit, so significant bits beyond 64 and continuation past 10 varint
+/// bytes are both invalid rather than silently wrapped.
 #[inline]
-pub(crate) fn decode_token(bytes: &[u8], pos: usize) -> Token {
+fn decode_token(bytes: &[u8], pos: usize) -> Token {
     const MAX_BYTES: usize = 10;
     let Some(&first) = bytes.get(pos) else {
         return Token::Truncated(0);
@@ -116,14 +107,12 @@ pub(crate) fn decode_token(bytes: &[u8], pos: usize) -> Token {
     Token::Invalid("varint continues past 10 bytes")
 }
 
-/// Reads an entire binary trace from an in-memory slice — the
-/// zero-copy twin of [`read_binary`](crate::binary::read_binary).
+/// Reads an entire binary trace from an in-memory slice.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::ParseBinary`] if the magic, version, record
-/// count or any record is malformed, with messages identical to the
-/// `Read`-based path.
+/// count or any record is malformed.
 ///
 /// # Examples
 ///
@@ -141,10 +130,9 @@ pub fn read_binary_slice(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
 }
 
 /// Reads a binary trace from an in-memory slice under a
-/// [`FaultPolicy`] — the zero-copy twin of
-/// [`read_binary_with`](crate::binary::read_binary_with), with
-/// identical recoverable/fatal fault classification, identical typed
-/// errors and identical quarantine sidecar lines.
+/// [`FaultPolicy`]. Which faults are recoverable and which are fatal is
+/// documented on [`read_binary_with`](crate::binary::read_binary_with),
+/// which reads its stream into memory and calls this.
 ///
 /// # Errors
 ///
@@ -445,8 +433,9 @@ mod tests {
 
     #[test]
     fn slice_errors_match_read_path() {
-        // A grab-bag of damage; the property suite does this
-        // exhaustively — this is the fast smoke version.
+        // A grab-bag of damage with the exact message each must raise;
+        // the property suite covers every offset.
+        type Mutation = fn(&mut Vec<u8>);
         let recs = sample();
         for packed in [false, true] {
             let mut clean = Vec::new();
@@ -455,25 +444,42 @@ mod tests {
             } else {
                 write_binary(&mut clean, &recs).unwrap();
             }
-            for mutate in [
-                |b: &mut Vec<u8>| b[0] = b'X',
-                |b: &mut Vec<u8>| b[4] = 99,
-                |b: &mut Vec<u8>| b[6] ^= 1,
-                |b: &mut Vec<u8>| {
-                    b.truncate(17);
-                },
-                |b: &mut Vec<u8>| b.push(0xaa),
-                |b: &mut Vec<u8>| b[HEADER_LEN] = 0x07, // bad kind (v1) / harmless (v2)
-            ] {
+            // v2 record 0 (ifetch 0) is the one-byte token 0x02, so a cut
+            // at 17 bytes truncates record 1 there but record 0 in v1.
+            let cases: [(Mutation, &str); 6] = [
+                (|b| b[0] = b'X', "bad magic"),
+                (|b| b[4] = 99, "unsupported version 99"),
+                (
+                    |b| b[6] ^= 1,
+                    "header check mismatch (corrupt version or record count)",
+                ),
+                (
+                    |b| b.truncate(17),
+                    if packed {
+                        "truncated at record 1"
+                    } else {
+                        "truncated at record 0"
+                    },
+                ),
+                (|b| b.push(0xaa), "1 trailing bytes after final record"),
+                // 0x07 is kind byte 7 in v1 and label bits 3 in v2.
+                (
+                    |b| b[HEADER_LEN] = 0x07,
+                    if packed {
+                        "bad kind 3 at record 0"
+                    } else {
+                        "bad kind 7 at record 0"
+                    },
+                ),
+            ];
+            for (mutate, want) in cases {
                 let mut buf = clean.clone();
                 mutate(&mut buf);
-                let via_read = read_binary(buf.as_slice());
-                let via_slice = read_binary_slice(&buf);
-                match (via_read, via_slice) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b),
-                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-                    (a, b) => panic!("outcome mismatch: read={a:?} slice={b:?}"),
-                }
+                let want = format!("malformed binary trace: {want}");
+                let via_slice = read_binary_slice(&buf).unwrap_err();
+                assert_eq!(via_slice.to_string(), want, "packed={packed}");
+                let via_read = read_binary(buf.as_slice()).unwrap_err();
+                assert_eq!(via_read.to_string(), want, "packed={packed}");
             }
         }
     }

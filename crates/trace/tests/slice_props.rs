@@ -1,9 +1,12 @@
-//! Equivalence property suite for the zero-copy slice decoder: over
-//! every-offset truncations and bit-flips of both binary layouts, the
-//! slice path must be indistinguishable from the `Read`-based reader —
-//! identical records, identical error strings, identical quarantine
-//! sidecars and ingest reports, identical record digests. The streaming
-//! iterator must match the bulk decoder under the strict policy too.
+//! Property suite for the binary trace decoder: over every-offset
+//! truncations, bit-flips and trailing garbage of both binary layouts,
+//! under three fault policies, the decoder must return exactly the
+//! outcome the format dictates — records, error strings, quarantine
+//! sidecars and ingest reports — through both the slice entry point and
+//! the `Read` entry point. Expected outcomes are derived from the
+//! encoder's record boundaries, never from the decoder under test. The
+//! streaming iterator must match the bulk decoder under the strict
+//! policy too.
 
 use mlc_trace::binary::{read_binary_with, write_binary, write_compressed};
 use mlc_trace::slice::{read_binary_slice_with, SliceRecords};
@@ -20,33 +23,42 @@ fn sample() -> Vec<TraceRecord> {
     recs
 }
 
-/// The two binary layouts the slice decoder handles (`.din` has no
-/// slice path — it is line-oriented text).
-fn encodings() -> Vec<(&'static str, Vec<u8>)> {
-    let recs = sample();
-    let mut v1 = Vec::new();
-    write_binary(&mut v1, &recs).unwrap();
-    let mut v2 = Vec::new();
-    write_compressed(&mut v2, &recs).unwrap();
-    vec![("v1", v1), ("v2", v2)]
+type Encoder = fn(&mut Vec<u8>, &[TraceRecord]) -> Result<(), mlc_trace::TraceError>;
+
+/// The two binary layouts (`.din` is line-oriented text, decoded
+/// elsewhere).
+fn encoders() -> [(&'static str, Encoder); 2] {
+    [
+        ("v1", |w, r| write_binary(w, r)),
+        ("v2", |w, r| write_compressed(w, r)),
+    ]
 }
 
-/// The workspace's trace content digest (FNV-1a over din label byte +
-/// little-endian address per record), inlined so this suite needs no
-/// reverse dependency on `mlc-obs`.
-fn digest(records: &[TraceRecord]) -> u64 {
-    let mut state: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(0x100_0000_01b3);
-    };
-    for rec in records {
-        eat(rec.kind.din_label());
-        for b in rec.addr.get().to_le_bytes() {
-            eat(b);
-        }
-    }
-    state
+fn encode(encoder: Encoder, records: &[TraceRecord]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encoder(&mut buf, records).unwrap();
+    buf
+}
+
+fn encodings() -> Vec<(&'static str, Vec<u8>)> {
+    encoders()
+        .into_iter()
+        .map(|(name, encoder)| (name, encode(encoder, &sample())))
+        .collect()
+}
+
+/// `ends[k]` is the byte offset at which record `k - 1` ends, i.e. the
+/// encoded length of the first `k` records (header included; both
+/// layouts encode a prefix of the trace as a prefix of the payload).
+fn record_ends(encoder: Encoder) -> Vec<usize> {
+    let recs = sample();
+    (0..=recs.len())
+        .map(|k| encode(encoder, &recs[..k]).len())
+        .collect()
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 type Outcome = (
@@ -54,39 +66,31 @@ type Outcome = (
     String, // quarantine sidecar contents
 );
 
-fn via_read(bytes: &[u8], policy: FaultPolicy) -> Outcome {
+/// Decodes through the `Read` entry point or the slice entry point.
+fn decode(bytes: &[u8], policy: FaultPolicy, via_read: bool) -> Outcome {
     let mut sidecar = Vec::new();
-    let result = read_binary_with(bytes, policy, Some(&mut sidecar))
+    let result = if via_read {
+        read_binary_with(bytes, policy, Some(&mut sidecar))
+    } else {
+        read_binary_slice_with(bytes, policy, Some(&mut sidecar))
+    };
+    let result = result
         .map(|(recs, report)| (recs, report.quarantined, report.truncated))
         .map_err(|e| e.to_string());
     (result, String::from_utf8(sidecar).unwrap())
 }
 
-fn via_slice(bytes: &[u8], policy: FaultPolicy) -> Outcome {
-    let mut sidecar = Vec::new();
-    let result = read_binary_slice_with(bytes, policy, Some(&mut sidecar))
-        .map(|(recs, report)| (recs, report.quarantined, report.truncated))
-        .map_err(|e| e.to_string());
-    (result, String::from_utf8(sidecar).unwrap())
+/// Both entry points must produce exactly `expected` on `bytes`.
+fn assert_outcome(context: &str, bytes: &[u8], policy: FaultPolicy, expected: &Outcome) {
+    assert_eq!(&decode(bytes, policy, false), expected, "{context} (slice)");
+    assert_eq!(&decode(bytes, policy, true), expected, "{context} (read)");
 }
 
-/// Both paths on the same bytes must agree on everything observable.
-fn assert_equivalent(context: &str, bytes: &[u8], policy: FaultPolicy) {
-    let (read_out, read_sidecar) = via_read(bytes, policy);
-    let (slice_out, slice_sidecar) = via_slice(bytes, policy);
-    match (&read_out, &slice_out) {
-        (Ok((r_recs, r_quar, r_trunc)), Ok((s_recs, s_quar, s_trunc))) => {
-            assert_eq!(r_recs, s_recs, "{context}: records diverge");
-            assert_eq!(digest(r_recs), digest(s_recs), "{context}: digests diverge");
-            assert_eq!(r_quar, s_quar, "{context}: quarantined counts diverge");
-            assert_eq!(r_trunc, s_trunc, "{context}: truncated flags diverge");
-        }
-        (Err(r_err), Err(s_err)) => {
-            assert_eq!(r_err, s_err, "{context}: error strings diverge");
-        }
-        _ => panic!("{context}: outcome kinds diverge (read: {read_out:?}, slice: {slice_out:?})"),
-    }
-    assert_eq!(read_sidecar, slice_sidecar, "{context}: sidecars diverge");
+fn parse_error(reason: &str) -> Outcome {
+    (
+        Err(format!("malformed binary trace: {reason}")),
+        String::new(),
+    )
 }
 
 const POLICIES: [FaultPolicy; 3] = [
@@ -99,23 +103,41 @@ const POLICIES: [FaultPolicy; 3] = [
 fn clean_payloads_decode_identically() {
     for (name, bytes) in encodings() {
         for policy in POLICIES {
-            assert_equivalent(&format!("{name} clean {policy:?}"), &bytes, policy);
+            assert_outcome(
+                &format!("{name} clean {policy:?}"),
+                &bytes,
+                policy,
+                &(Ok((sample(), 0, false)), String::new()),
+            );
         }
-        // And both paths actually return the written records.
-        let (out, _) = via_slice(&bytes, FaultPolicy::Fail);
-        assert_eq!(out.unwrap().0, sample(), "{name}: wrong records");
     }
 }
 
 #[test]
 fn truncation_at_every_offset_is_identical() {
-    for (name, bytes) in encodings() {
-        for cut in 0..=bytes.len() {
+    let recs = sample();
+    for (name, encoder) in encoders() {
+        let bytes = encode(encoder, &recs);
+        let ends = record_ends(encoder);
+        for cut in 0..bytes.len() {
+            // Complete records before the cut; record `k` is the one cut.
+            let k = ends.iter().rposition(|&end| end <= cut).unwrap_or(0);
             for policy in POLICIES {
-                assert_equivalent(
+                let expected = if cut < 16 {
+                    parse_error("truncated header")
+                } else if policy == FaultPolicy::Fail {
+                    parse_error(&format!("truncated at record {k}"))
+                } else {
+                    (
+                        Ok((recs[..k].to_vec(), 1, true)),
+                        format!("record {k}: truncated ({})\n", hex(&bytes[ends[k]..cut])),
+                    )
+                };
+                assert_outcome(
                     &format!("{name} cut at {cut} under {policy:?}"),
                     &bytes[..cut],
                     policy,
+                    &expected,
                 );
             }
         }
@@ -129,12 +151,31 @@ fn bit_flips_at_every_offset_are_identical() {
             for mask in [0x01u8, 0x80] {
                 let mut flipped = bytes.clone();
                 flipped[offset] ^= mask;
-                for policy in POLICIES {
-                    assert_equivalent(
-                        &format!("{name} flip {mask:#x} at {offset} under {policy:?}"),
-                        &flipped,
-                        policy,
-                    );
+                let context = format!("{name} flip {mask:#x} at {offset}");
+                let (strict, strict_sidecar) = decode(&flipped, FaultPolicy::Fail, false);
+                assert!(strict_sidecar.is_empty(), "{context}: strict sidecar");
+                for policy in &POLICIES[1..] {
+                    let (out, sidecar) = decode(&flipped, *policy, false);
+                    match out {
+                        Ok((recs, quarantined, _)) => {
+                            assert_eq!(
+                                sidecar.lines().count() as u64,
+                                quarantined,
+                                "{context} under {policy:?}: one sidecar line per fault"
+                            );
+                            assert!(recs.len() <= sample().len(), "{context}: grew");
+                            // A payload the strict decoder accepts has
+                            // nothing to quarantine.
+                            if let Ok((strict_recs, _, _)) = &strict {
+                                assert_eq!(&recs, strict_recs, "{context} under {policy:?}");
+                                assert_eq!(quarantined, 0, "{context} under {policy:?}");
+                            }
+                        }
+                        Err(_) => assert!(
+                            strict.is_err(),
+                            "{context}: {policy:?} failed where strict succeeded"
+                        ),
+                    }
                 }
             }
         }
@@ -147,11 +188,18 @@ fn trailing_garbage_is_identical() {
         for extra in [1usize, 7] {
             let mut long = bytes.clone();
             long.extend(std::iter::repeat_n(0xaau8, extra));
+            let message = format!("{extra} trailing bytes after final record");
             for policy in POLICIES {
-                assert_equivalent(
+                let expected = if policy == FaultPolicy::Fail {
+                    parse_error(&message)
+                } else {
+                    (Ok((sample(), 1, false)), format!("trailer: {message}\n"))
+                };
+                assert_outcome(
                     &format!("{name} with {extra} trailing bytes under {policy:?}"),
                     &long,
                     policy,
+                    &expected,
                 );
             }
         }
@@ -183,7 +231,7 @@ fn streaming_iterator_matches_strict_bulk_decode() {
             cases.push(flipped);
         }
         for (i, case) in cases.iter().enumerate() {
-            let (bulk, _) = via_read(case, FaultPolicy::Fail);
+            let (bulk, _) = decode(case, FaultPolicy::Fail, false);
             let bulk = bulk.map(|(recs, _, _)| recs);
             assert_eq!(drain(case), bulk, "{name}: case {i} diverges");
         }
