@@ -22,6 +22,24 @@ fn run(bin: &str, args: &[&str]) -> (bool, String, String) {
     )
 }
 
+/// Writes a `mlc-gen --preset mips1` trace to `out`.
+fn gen_mips1(out: &str, records: usize, seed: u64) {
+    let (ok, _, stderr) = run(
+        env!("CARGO_BIN_EXE_mlc-gen"),
+        &[
+            "--preset",
+            "mips1",
+            "--records",
+            &records.to_string(),
+            "--seed",
+            &seed.to_string(),
+            "--out",
+            out,
+        ],
+    );
+    assert!(ok, "mlc-gen failed: {stderr}");
+}
+
 #[test]
 fn gen_run_sweep_analyze_pipeline() {
     let trace = tmp("pipeline.din");
@@ -226,20 +244,7 @@ fn strip_timings(manifest: &str) -> Vec<String> {
 fn sweep_manifest_is_reproducible_and_metrics_are_structured() {
     let trace = tmp("obs_sweep.din");
     let trace_str = trace.to_str().unwrap();
-    let (ok, _, stderr) = run(
-        env!("CARGO_BIN_EXE_mlc-gen"),
-        &[
-            "--preset",
-            "mips1",
-            "--records",
-            "40000",
-            "--seed",
-            "3",
-            "--out",
-            trace_str,
-        ],
-    );
-    assert!(ok, "{stderr}");
+    gen_mips1(trace_str, 40_000, 3);
 
     // Two runs with IDENTICAL argv (argv is recorded in the manifest):
     // copy the first manifest aside before the second overwrites it.
@@ -311,20 +316,7 @@ fn sweep_manifest_is_reproducible_and_metrics_are_structured() {
 fn run_manifest_captures_resolved_machine() {
     let trace = tmp("obs_run.din");
     let trace_str = trace.to_str().unwrap();
-    let (ok, _, stderr) = run(
-        env!("CARGO_BIN_EXE_mlc-gen"),
-        &[
-            "--preset",
-            "mips1",
-            "--records",
-            "20000",
-            "--seed",
-            "5",
-            "--out",
-            trace_str,
-        ],
-    );
-    assert!(ok, "{stderr}");
+    gen_mips1(trace_str, 20_000, 5);
 
     let manifest_path = tmp("obs_run_manifest.json");
     let (ok, _, stderr) = run(
@@ -379,20 +371,7 @@ fn sweep_rejects_invalid_grid_points_with_a_typed_error() {
 fn sweep_journal_resume_reproduces_an_uninterrupted_run() {
     let trace = tmp("journal.din");
     let trace_str = trace.to_str().unwrap();
-    let (ok, _, stderr) = run(
-        env!("CARGO_BIN_EXE_mlc-gen"),
-        &[
-            "--preset",
-            "mips1",
-            "--records",
-            "40000",
-            "--seed",
-            "11",
-            "--out",
-            trace_str,
-        ],
-    );
-    assert!(ok, "{stderr}");
+    gen_mips1(trace_str, 40_000, 11);
 
     // Reference: an uninterrupted, journal-free sweep.
     let plain_csv = tmp("journal_plain.csv");
@@ -517,20 +496,7 @@ fn sweep_journal_resume_reproduces_an_uninterrupted_run() {
 fn run_quarantines_malformed_records_under_skip_policy() {
     let trace = tmp("faulty.din");
     let trace_str = trace.to_str().unwrap();
-    let (ok, _, stderr) = run(
-        env!("CARGO_BIN_EXE_mlc-gen"),
-        &[
-            "--preset",
-            "mips1",
-            "--records",
-            "20000",
-            "--seed",
-            "13",
-            "--out",
-            trace_str,
-        ],
-    );
-    assert!(ok, "{stderr}");
+    gen_mips1(trace_str, 20_000, 13);
     let mut text = std::fs::read_to_string(&trace).unwrap();
     text.push_str("not a record\n3 zz\n");
     std::fs::write(&trace, &text).unwrap();
@@ -571,20 +537,7 @@ fn sweep_failure_budget_gates_the_exit_code() {
     // recorded in the manifest.
     let trace = tmp("budget.din");
     let trace_str = trace.to_str().unwrap();
-    let (ok, _, stderr) = run(
-        env!("CARGO_BIN_EXE_mlc-gen"),
-        &[
-            "--preset",
-            "mips1",
-            "--records",
-            "20000",
-            "--seed",
-            "17",
-            "--out",
-            trace_str,
-        ],
-    );
-    assert!(ok, "{stderr}");
+    gen_mips1(trace_str, 20_000, 17);
     let manifest_path = tmp("budget.manifest.json");
     let (ok, _, stderr) = run(
         env!("CARGO_BIN_EXE_mlc-sweep"),
@@ -649,20 +602,7 @@ fn counter_value(line: &str) -> u64 {
 fn attribution_and_event_traces_end_to_end() {
     let trace = tmp("attr.din");
     let trace_str = trace.to_str().unwrap();
-    let (ok, _, stderr) = run(
-        env!("CARGO_BIN_EXE_mlc-gen"),
-        &[
-            "--preset",
-            "mips1",
-            "--records",
-            "40000",
-            "--seed",
-            "21",
-            "--out",
-            trace_str,
-        ],
-    );
-    assert!(ok, "{stderr}");
+    gen_mips1(trace_str, 40_000, 21);
 
     let events_path = tmp("attr_events.jsonl");
     let perfetto_path = tmp("attr_perfetto.json");
@@ -745,20 +685,7 @@ fn attribution_and_event_traces_end_to_end() {
 fn bounds_binary_end_to_end() {
     let trace = tmp("bounds.din");
     let trace_str = trace.to_str().unwrap();
-    let (ok, _, stderr) = run(
-        env!("CARGO_BIN_EXE_mlc-gen"),
-        &[
-            "--preset",
-            "mips1",
-            "--records",
-            "20000",
-            "--seed",
-            "23",
-            "--out",
-            trace_str,
-        ],
-    );
-    assert!(ok, "{stderr}");
+    gen_mips1(trace_str, 20_000, 23);
 
     // Human report with the sim-vs-bounds oracle: must pass, and the
     // table must carry every CHMC column.
@@ -831,20 +758,7 @@ fn bounds_binary_end_to_end() {
 fn bad_observability_paths_fail_fast_and_typed() {
     let trace = tmp("badpath.din");
     let trace_str = trace.to_str().unwrap();
-    let (ok, _, stderr) = run(
-        env!("CARGO_BIN_EXE_mlc-gen"),
-        &[
-            "--preset",
-            "mips1",
-            "--records",
-            "1000",
-            "--seed",
-            "1",
-            "--out",
-            trace_str,
-        ],
-    );
-    assert!(ok, "{stderr}");
+    gen_mips1(trace_str, 1_000, 1);
 
     // A bad --events-out fails before the trace is even read.
     let (ok, _, stderr) = run(

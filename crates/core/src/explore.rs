@@ -13,7 +13,7 @@ use mlc_cache::{ByteSize, CacheConfig};
 use mlc_obs::{JournalRow, Metrics, Progress};
 use mlc_sim::machine::BaseMachine;
 use mlc_sim::{
-    simulate_timing_sweep_observed, simulate_with_warmup, simulate_with_warmup_observed, solo,
+    simulate_timing_sweep, simulate_with_warmup, simulate_with_warmup_observed, solo,
     HierarchyConfig, LevelCacheConfig, SimResult,
 };
 use mlc_trace::TraceRecord;
@@ -504,9 +504,8 @@ impl<'t> Explorer<'t> {
                         })
                         .collect();
                     let timer = metrics.time_phase(&format!("grid.size.{}", sizes[i]));
-                    let row =
-                        simulate_timing_sweep_observed(&configs, self.trace, self.warmup, &metrics)
-                            .expect("lanes differ only in cycle time");
+                    let row = simulate_timing_sweep(&configs, self.trace, self.warmup, &metrics)
+                        .expect("lanes differ only in cycle time");
                     timer.stop();
                     self.tick(cycles.len() as u64);
                     row

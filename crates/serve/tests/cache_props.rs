@@ -6,18 +6,13 @@
 //! `mlc-journal/1` file, so the cache must accept exactly what a sweep
 //! would have produced and reject everything else.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use mlc_obs::{JournalHeader, JournalRow, JournalWriter};
 use mlc_serve::{grid_to_json, job_key, key_stem, DiskStore, MemoryLru, ResultCache, Tier};
 
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mlc_serve_cache_{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::temp_root;
 
 fn header(tag: u64) -> JournalHeader {
     JournalHeader {

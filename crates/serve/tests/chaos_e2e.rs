@@ -9,41 +9,11 @@ use std::time::{Duration, Instant};
 
 use mlc_serve::{
     default_loader, grid_to_json, FaultInjector, JobEvent, Server, ServerConfig, SubmitError,
-    SubmitOutcome, SubmitRequest,
+    SubmitOutcome,
 };
-use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
 
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mlc_serve_chaos_{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_trace(dir: &Path, n: usize) -> PathBuf {
-    let records = MultiProgramGenerator::new(Preset::Mips2.config(7))
-        .expect("valid preset")
-        .generate_records(n);
-    let path = dir.join("trace.din");
-    let file = std::fs::File::create(&path).unwrap();
-    mlc_trace::din::write_din(file, records.iter().copied()).unwrap();
-    path
-}
-
-fn request(trace: &Path) -> SubmitRequest {
-    SubmitRequest {
-        trace: trace.to_path_buf(),
-        l1_bytes: 4096,
-        ways: 1,
-        sizes: vec![16384, 32768],
-        cycles: vec![1, 4],
-        engine: "onepass".into(),
-        warmup_frac: 0.25,
-        wait: true,
-        deadline_ms: 0,
-        trace_id: String::new(),
-    }
-}
+mod common;
+use common::{request, temp_root, write_trace, SIZES};
 
 /// Follows a submission to its terminal result.
 fn drain(sub: &mlc_serve::Submission) -> Result<Arc<mlc_core::DesignGrid>, mlc_serve::JobError> {
@@ -66,7 +36,7 @@ fn enospc_mid_journal_is_retryable_and_heals() {
 
     // Clean reference bits.
     let reference = Server::new(ServerConfig::new(root.join("ref")), default_loader()).unwrap();
-    let SubmitOutcome::Running(sub) = reference.submit(&request(&trace)).unwrap() else {
+    let SubmitOutcome::Running(sub) = reference.submit(&request(&trace, SIZES)).unwrap() else {
         panic!("empty store cannot hit");
     };
     let want = bits(&drain(&sub).unwrap());
@@ -78,7 +48,7 @@ fn enospc_mid_journal_is_retryable_and_heals() {
     config.chaos = Arc::clone(&chaos);
     let server = Server::new(config, default_loader()).unwrap();
 
-    let SubmitOutcome::Running(sub) = server.submit(&request(&trace)).unwrap() else {
+    let SubmitOutcome::Running(sub) = server.submit(&request(&trace, SIZES)).unwrap() else {
         panic!("empty store cannot hit");
     };
     let err = drain(&sub).expect_err("injected ENOSPC must fail the job");
@@ -87,7 +57,7 @@ fn enospc_mid_journal_is_retryable_and_heals() {
     assert_eq!(chaos.injected(), 1);
 
     // The idempotent retry resumes the surviving row and converges.
-    let SubmitOutcome::Running(sub) = server.submit(&request(&trace)).unwrap() else {
+    let SubmitOutcome::Running(sub) = server.submit(&request(&trace, SIZES)).unwrap() else {
         panic!("failed job must not be cached");
     };
     assert_eq!(sub.rows_resumed, 1, "the successful row was journalled");
@@ -109,7 +79,7 @@ fn torn_commit_rename_is_retryable_and_resumes_without_recompute() {
     config.chaos = Arc::clone(&chaos);
     let server = Server::new(config, default_loader()).unwrap();
 
-    let SubmitOutcome::Running(sub) = server.submit(&request(&trace)).unwrap() else {
+    let SubmitOutcome::Running(sub) = server.submit(&request(&trace, SIZES)).unwrap() else {
         panic!("empty store cannot hit");
     };
     let err = drain(&sub).expect_err("injected torn rename must fail the commit");
@@ -119,7 +89,7 @@ fn torn_commit_rename_is_retryable_and_resumes_without_recompute() {
 
     // The complete journal is still in the spool: the retry replays all
     // rows (no recompute) and commits.
-    let SubmitOutcome::Running(sub) = server.submit(&request(&trace)).unwrap() else {
+    let SubmitOutcome::Running(sub) = server.submit(&request(&trace, SIZES)).unwrap() else {
         panic!("failed commit must not look cached");
     };
     assert_eq!(sub.rows_resumed, 2, "every row was journalled already");
@@ -137,18 +107,17 @@ fn full_job_table_sheds_with_a_typed_overload() {
     config.row_delay = Duration::from_millis(300);
     let server = Server::new(config, default_loader()).unwrap();
 
-    let SubmitOutcome::Running(leader) = server.submit(&request(&trace)).unwrap() else {
+    let SubmitOutcome::Running(leader) = server.submit(&request(&trace, SIZES)).unwrap() else {
         panic!("empty store cannot hit");
     };
     // A *different* job (other grid) cannot coalesce and must be shed.
-    let mut other = request(&trace);
-    other.sizes = vec![65536, 131072];
+    let other = request(&trace, &[65536, 131072]);
     match server.submit(&other) {
         Err(SubmitError::Overloaded(reason)) => assert!(reason.contains("job table full")),
         other => panic!("expected overloaded, got {other:?}"),
     }
     // An *identical* submission coalesces for free even at the cap.
-    match server.submit(&request(&trace)).unwrap() {
+    match server.submit(&request(&trace, SIZES)).unwrap() {
         SubmitOutcome::Running(sub) => assert!(sub.coalesced),
         SubmitOutcome::Cached { .. } => {} // leader finished already: also fine
     }
@@ -163,7 +132,7 @@ fn draining_server_sheds_new_submissions() {
     let trace = write_trace(&root, 20_000);
     let server = Server::new(ServerConfig::new(root.join("store")), default_loader()).unwrap();
     server.shutdown();
-    match server.submit(&request(&trace)) {
+    match server.submit(&request(&trace, SIZES)) {
         Err(SubmitError::Overloaded(reason)) => assert!(reason.contains("draining")),
         other => panic!("expected overloaded, got {other:?}"),
     }
@@ -247,7 +216,7 @@ fn deadline_answers_timeout_and_the_job_still_lands_in_cache() {
 
     let (mut stream, mut reader) = fixture.connect();
     expect_hello(&mut reader);
-    let mut req = request(&trace);
+    let mut req = request(&trace, SIZES);
     req.deadline_ms = 120; // two 400ms rows cannot finish in time
     let mut line = mlc_serve::Request::Submit(req).to_line();
     line.push('\n');

@@ -7,7 +7,7 @@
 //! (sim-vs-cache oracle, in the style of the sim-vs-bounds tests).
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
@@ -16,14 +16,9 @@ use mlc_serve::{
     default_loader, grid_to_json, job_key, key_stem, DiskStore, FaultInjector, JobEvent, JobSpec,
     Server, ServerConfig, SubmitOutcome, SubmitRequest,
 };
-use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
 
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mlc_serve_evict_{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::{request, temp_root, write_trace, SIZES};
 
 fn header(tag: u64) -> JournalHeader {
     JournalHeader {
@@ -227,31 +222,6 @@ fn janitor_removes_exactly_the_kill9_leftovers() {
 
 // ---- the recompute oracle: eviction must cost time, never bits ----
 
-fn write_trace(dir: &Path, n: usize) -> PathBuf {
-    let records = MultiProgramGenerator::new(Preset::Mips2.config(7))
-        .expect("valid preset")
-        .generate_records(n);
-    let path = dir.join("trace.din");
-    let file = std::fs::File::create(&path).unwrap();
-    mlc_trace::din::write_din(file, records.iter().copied()).unwrap();
-    path
-}
-
-fn request(trace: &Path, sizes: Vec<u64>) -> SubmitRequest {
-    SubmitRequest {
-        trace: trace.to_path_buf(),
-        l1_bytes: 4096,
-        ways: 1,
-        sizes,
-        cycles: vec![1, 4],
-        engine: "onepass".into(),
-        warmup_frac: 0.25,
-        wait: true,
-        deadline_ms: 0,
-        trace_id: String::new(),
-    }
-}
-
 fn run_to_grid(server: &Arc<Server>, req: &SubmitRequest) -> (Arc<mlc_core::DesignGrid>, bool) {
     match server.submit(req).unwrap() {
         SubmitOutcome::Running(sub) => loop {
@@ -268,8 +238,8 @@ fn run_to_grid(server: &Arc<Server>, req: &SubmitRequest) -> (Arc<mlc_core::Desi
 fn recompute_after_eviction_is_bit_identical() {
     let root = temp_root("oracle");
     let trace = write_trace(&root, 20_000);
-    let req_a = request(&trace, vec![16384, 32768]);
-    let req_b = request(&trace, vec![65536, 131072]);
+    let req_a = request(&trace, SIZES);
+    let req_b = request(&trace, &[65536, 131072]);
 
     // Reference pass, unbudgeted: learn A's bits and entry size.
     let mut config = ServerConfig::new(root.join("ref_store"));

@@ -3,7 +3,7 @@
 //! deduplication, and kill-then-recover resumption — all asserting
 //! bit-identical grids via the wire encoding.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -11,41 +11,11 @@ use mlc_core::DesignGrid;
 use mlc_obs::{digest_records_hex, JournalHeader, JournalRow, JournalWriter};
 use mlc_serve::{
     default_loader, grid_to_json, job_key, key_stem, DiskStore, JobEvent, JobSpec, JobStatus,
-    Server, ServerConfig, SubmitOutcome, SubmitRequest, Tier,
+    Server, ServerConfig, SubmitOutcome, Tier,
 };
-use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
 
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mlc_serve_e2e_{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_trace(dir: &Path, n: usize) -> PathBuf {
-    let records = MultiProgramGenerator::new(Preset::Mips2.config(7))
-        .expect("valid preset")
-        .generate_records(n);
-    let path = dir.join("trace.din");
-    let file = std::fs::File::create(&path).unwrap();
-    mlc_trace::din::write_din(file, records.iter().copied()).unwrap();
-    path
-}
-
-fn request(trace: &Path) -> SubmitRequest {
-    SubmitRequest {
-        trace: trace.to_path_buf(),
-        l1_bytes: 4096,
-        ways: 1,
-        sizes: vec![16384, 32768],
-        cycles: vec![1, 4],
-        engine: "onepass".into(),
-        warmup_frac: 0.25,
-        wait: true,
-        deadline_ms: 0,
-        trace_id: String::new(),
-    }
-}
+mod common;
+use common::{request, temp_root, write_trace, SIZES};
 
 fn server(root: &Path, row_delay: Duration) -> Arc<Server> {
     let mut config = ServerConfig::new(root);
@@ -73,7 +43,7 @@ fn cold_compute_then_cache_hits_are_bit_identical() {
     let trace = write_trace(&root, 20_000);
     let server = server(&root.join("store"), Duration::ZERO);
 
-    let cold = match server.submit(&request(&trace)).unwrap() {
+    let cold = match server.submit(&request(&trace, SIZES)).unwrap() {
         SubmitOutcome::Running(sub) => {
             assert!(!sub.coalesced);
             assert_eq!(sub.rows_total, 2);
@@ -86,7 +56,7 @@ fn cold_compute_then_cache_hits_are_bit_identical() {
     assert_eq!(server.stats().disk_entries, 1);
 
     // Same submission again: memory tier, bit-identical.
-    match server.submit(&request(&trace)).unwrap() {
+    match server.submit(&request(&trace, SIZES)).unwrap() {
         SubmitOutcome::Cached { grid, tier, .. } => {
             assert_eq!(tier, Tier::Memory);
             assert_eq!(grid_bits(&cold), grid_bits(&grid));
@@ -97,7 +67,7 @@ fn cold_compute_then_cache_hits_are_bit_identical() {
 
     // A fresh server over the same store: disk tier first, then memory.
     let restarted = self::server(&root.join("store"), Duration::ZERO);
-    match restarted.submit(&request(&trace)).unwrap() {
+    match restarted.submit(&request(&trace, SIZES)).unwrap() {
         SubmitOutcome::Cached {
             grid, tier, key, ..
         } => {
@@ -117,11 +87,11 @@ fn identical_inflight_submissions_coalesce_to_one_simulation() {
     // The row delay keeps the leader in flight while the follower submits.
     let server = server(&root.join("store"), Duration::from_millis(300));
 
-    let leader = match server.submit(&request(&trace)).unwrap() {
+    let leader = match server.submit(&request(&trace, SIZES)).unwrap() {
         SubmitOutcome::Running(sub) => sub,
         SubmitOutcome::Cached { .. } => panic!("empty store cannot hit"),
     };
-    let follower = match server.submit(&request(&trace)).unwrap() {
+    let follower = match server.submit(&request(&trace, SIZES)).unwrap() {
         SubmitOutcome::Running(sub) => sub,
         SubmitOutcome::Cached { .. } => panic!("leader still in flight"),
     };
@@ -152,7 +122,7 @@ fn recovery_resumes_interrupted_job_bit_identically() {
 
     // Reference: the uninterrupted answer.
     let ref_server = server(&root.join("ref_store"), Duration::ZERO);
-    let reference = match ref_server.submit(&request(&trace)).unwrap() {
+    let reference = match ref_server.submit(&request(&trace, SIZES)).unwrap() {
         SubmitOutcome::Running(sub) => drain(&sub.events),
         SubmitOutcome::Cached { .. } => panic!("empty store cannot hit"),
     };
@@ -165,7 +135,7 @@ fn recovery_resumes_interrupted_job_bit_identically() {
     // byte what a live submission derives, so build it the same way.
     let crash_root = root.join("crash_store");
     let records = default_loader()(&trace, "").unwrap();
-    let req = request(&trace);
+    let req = request(&trace, SIZES);
     let header = JournalHeader {
         trace_digest: digest_records_hex(&records),
         engine: req.engine.clone(),
@@ -241,7 +211,7 @@ fn trace_id_follows_the_job_through_events_journal_and_spans() {
     let server = Server::new(config, default_loader()).unwrap();
 
     let leader_id = "trc-e2e-leader";
-    let mut req = request(&trace);
+    let mut req = request(&trace, SIZES);
     req.trace_id = leader_id.into();
     let leader = match server.submit(&req).unwrap() {
         SubmitOutcome::Running(sub) => sub,
@@ -251,7 +221,7 @@ fn trace_id_follows_the_job_through_events_journal_and_spans() {
 
     // A follower with no context of its own inherits the running
     // job's id; one with its own context keeps it.
-    let follower = match server.submit(&request(&trace)).unwrap() {
+    let follower = match server.submit(&request(&trace, SIZES)).unwrap() {
         SubmitOutcome::Running(sub) => sub,
         SubmitOutcome::Cached { .. } => panic!("leader still in flight"),
     };
@@ -260,7 +230,7 @@ fn trace_id_follows_the_job_through_events_journal_and_spans() {
         follower.trace_id, leader_id,
         "bare follower adopts the job's trace id"
     );
-    let mut tagged = request(&trace);
+    let mut tagged = request(&trace, SIZES);
     tagged.trace_id = "trc-e2e-follower".into();
     let tagged = match server.submit(&tagged).unwrap() {
         SubmitOutcome::Running(sub) => sub,
@@ -308,7 +278,7 @@ fn trace_id_follows_the_job_through_events_journal_and_spans() {
     assert!(perfetto.contains("mlc-serve-spans/1"));
 
     // Invalid ids are rejected as such, not minted over.
-    let mut bad = request(&trace);
+    let mut bad = request(&trace, SIZES);
     bad.trace_id = "no spaces allowed".into();
     assert!(matches!(
         server.submit(&bad),
@@ -327,15 +297,15 @@ fn unknown_keys_and_invalid_submissions_answer_cleanly() {
     assert_eq!(server.status(bogus), JobStatus::Unknown);
     assert!(server.fetch(bogus).is_none());
 
-    let mut bad_engine = request(&trace);
+    let mut bad_engine = request(&trace, SIZES);
     bad_engine.engine = "warp".into();
     assert!(server.submit(&bad_engine).is_err());
 
-    let mut empty_grid = request(&trace);
+    let mut empty_grid = request(&trace, SIZES);
     empty_grid.sizes.clear();
     assert!(server.submit(&empty_grid).is_err());
 
-    let mut missing_trace = request(&trace);
+    let mut missing_trace = request(&trace, SIZES);
     missing_trace.trace = root.join("no_such.din");
     assert!(server.submit(&missing_trace).is_err());
     let _ = std::fs::remove_dir_all(&root);

@@ -61,7 +61,7 @@ pub use hierarchy::{simulate, simulate_with_warmup, HierarchySim};
 pub use ledger::{CycleLedger, SimHistograms};
 pub use metrics::{EventCounts, LevelMetrics, SimResult};
 pub use observe::{
-    observe_histograms, observe_ledger, observe_result, simulate_timing_sweep_observed,
-    simulate_with_warmup_attributed, simulate_with_warmup_observed, AttributedRun,
+    observe_histograms, observe_ledger, observe_result, simulate_with_warmup_attributed,
+    simulate_with_warmup_observed, AttributedRun,
 };
-pub use sweep::{simulate_timing_sweep, TimingSweepSim, LANE_WIDTHS, MAX_LANES};
+pub use sweep::{simulate_timing_sweep, TimingSweepSim, MAX_LANES};

@@ -13,7 +13,6 @@ use mlc_trace::TraceRecord;
 use crate::hierarchy::HierarchySim;
 use crate::ledger::{CycleLedger, SimHistograms};
 use crate::metrics::SimResult;
-use crate::sweep::{TimingSweepSim, MAX_LANES};
 use crate::{HierarchyConfig, SimConfigError};
 
 /// Translates a [`SimResult`] into `mlc-obs` counters under `scope`
@@ -209,38 +208,6 @@ pub fn simulate_with_warmup_observed(
     Ok(result)
 }
 
-/// [`crate::simulate_timing_sweep`] with phase timing fed into
-/// `metrics`: phases `sweep.warmup` and `sweep.measure` accumulate
-/// across lane chunks, and the counter `sweep.lane_passes` counts how
-/// many [`TimingSweepSim`] passes the configuration list split into.
-///
-/// # Errors
-///
-/// Returns a [`SimConfigError`] under the same conditions as
-/// [`TimingSweepSim::new`].
-pub fn simulate_timing_sweep_observed(
-    configs: &[HierarchyConfig],
-    records: &[TraceRecord],
-    warmup: usize,
-    metrics: &Metrics,
-) -> Result<Vec<SimResult>, SimConfigError> {
-    let mut out = Vec::with_capacity(configs.len());
-    for chunk in configs.chunks(MAX_LANES.max(1)) {
-        let mut sim = TimingSweepSim::new(chunk)?;
-        metrics.add("sweep.lane_passes", 1);
-        let warm = warmup.min(records.len());
-        let timer = metrics.time_phase("sweep.warmup");
-        sim.run_slice(&records[..warm]);
-        timer.stop();
-        sim.reset_measurement();
-        let timer = metrics.time_phase("sweep.measure");
-        sim.run_slice(&records[warm..]);
-        timer.stop();
-        out.extend(sim.results());
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_sweep_matches_plain_sweep() {
+    fn sweep_metrics_count_passes_and_phases() {
         let trace = preset_trace(20_000);
         let configs: Vec<HierarchyConfig> = (1..=26)
             .map(|c| {
@@ -294,17 +261,14 @@ mod tests {
             })
             .collect();
         let metrics = Metrics::enabled();
-        let observed = simulate_timing_sweep_observed(&configs, &trace, 5_000, &metrics).unwrap();
-        let plain = simulate_timing_sweep(&configs, &trace, 5_000).unwrap();
-        assert_eq!(observed.len(), plain.len());
-        for (a, b) in observed.iter().zip(&plain) {
-            assert_eq!(a.total_cycles, b.total_cycles);
-        }
+        let results = simulate_timing_sweep(&configs, &trace, 5_000, &metrics).unwrap();
+        assert_eq!(results.len(), 26);
         let snap = metrics.snapshot();
-        // 26 configs over 24 lanes = 2 passes.
-        assert_eq!(snap.counters, vec![("sweep.lane_passes".into(), 2)]);
-        assert_eq!(snap.phases.len(), 2);
-        assert!(snap.phases.iter().all(|(_, s)| s.calls == 2));
+        // 26 configs over 12 lanes = 3 passes.
+        assert_eq!(snap.counters, vec![("sweep.lane_passes".into(), 3)]);
+        let phase_names: Vec<&str> = snap.phases.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(phase_names, ["sweep.measure", "sweep.warmup"]);
+        assert!(snap.phases.iter().all(|(_, s)| s.calls == 3));
     }
 
     #[test]

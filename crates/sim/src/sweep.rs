@@ -22,18 +22,17 @@
 //! the write-buffer *contents* (addresses and occupancy), and every
 //! hit/miss/traffic counter.
 //!
-//! # Lane-width dispatch
+//! # Lane widths
 //!
-//! The per-lane arithmetic runs over fixed-width `[u64; W]` vectors so
+//! The per-lane arithmetic runs over fixed-width `[u64; W]` vectors, so
 //! the compiler unrolls (and auto-vectorizes) every loop with no runtime
-//! lane bound. Rather than one compile-time width, the simulator is
-//! monomorphized at the widths in [`LANE_WIDTHS`] (2 up to 24 lanes) and
-//! [`TimingSweepSim::new`] picks the smallest width that fits the
-//! request: a 2-config sweep pays for 2 lanes, not 24, and a 24-point
-//! cycle ladder finishes in one functional pass instead of four. Wider
-//! vectors amortize the shared functional pass (cache model, trace
-//! decode) over more grid points, which is where the one-pass engine''s
-//! throughput comes from.
+//! lane bound. The simulator is compiled at two widths:
+//! [`TimingSweepSim::new`] runs one or two lanes at width 2 and up to
+//! [`MAX_LANES`] (12) at width 12. The paper's 10-point L2 cycle ladder
+//! fits one 12-lane pass; a one-point job, such as a daemon request for a
+//! single cycle time, pays for 2 lanes rather than 12.
+//! [`simulate_timing_sweep`] chunks longer ladders into 12-lane passes.
+//! Unused tail lanes are computed on lane 0's timing and dropped.
 //!
 //! # The one approximation
 //!
@@ -53,6 +52,7 @@ use std::collections::VecDeque;
 
 use mlc_cache::{CacheUnit, Fill, FillReason};
 use mlc_mem::{BufferedWrite, MainMemory, MemOpKind, MemoryTiming, WriteBuffer};
+use mlc_obs::Metrics;
 use mlc_trace::{AccessKind, Address, TraceRecord};
 
 use crate::clock::Clock;
@@ -61,14 +61,7 @@ use crate::metrics::{LevelMetrics, SimResult};
 
 /// The largest number of timing variants one [`TimingSweepSim`] carries.
 /// [`simulate_timing_sweep`] transparently chunks longer lists.
-pub const MAX_LANES: usize = 24;
-
-/// The monomorphized lane widths behind [`TimingSweepSim`]. A request
-/// for `n` lanes dispatches to the smallest width `>= n`; tail lanes are
-/// computed alongside (their timing parameters are padded with lane 0's
-/// values at construction) so the per-lane loops keep a compile-time
-/// bound.
-pub const LANE_WIDTHS: [usize; 7] = [2, 4, 6, 8, 12, 16, 24];
+pub const MAX_LANES: usize = 12;
 
 #[inline(always)]
 fn splat<const W: usize>(x: u64) -> [u64; W] {
@@ -448,13 +441,6 @@ impl<const W: usize> SweepSimW<W> {
                 st.now = vmax(st.now, done);
             }
         }
-    }
-
-    /// Processes a single trace record (mirrors `HierarchySim::step`).
-    fn step(&mut self, rec: TraceRecord) {
-        let mut st = self.cpu;
-        self.step_on(&mut st, rec);
-        self.cpu = st;
     }
 
     /// Runs a batch of records with the CPU state held in a local.
@@ -865,16 +851,16 @@ impl<const W: usize> SweepSimW<W> {
 /// timing parameter: level cycle times, bus cycle times, CPU cycle time,
 /// memory speeds.
 ///
-/// The lane width is runtime-dispatched: construction monomorphizes to
-/// the smallest width in [`LANE_WIDTHS`] that fits the request, so small
-/// sweeps pay narrow-vector arithmetic and wide cycle ladders still run
-/// in one functional pass.
+/// One or two lanes run at vector width 2, and three or more at width
+/// [`MAX_LANES`]; unused tail lanes are computed alongside and dropped
+/// from [`Self::results`].
 ///
 /// # Examples
 ///
 /// Price the base machine at three L2 cycle times in one pass:
 ///
 /// ```
+/// use mlc_obs::Metrics;
 /// use mlc_sim::machine::BaseMachine;
 /// use mlc_sim::sweep::simulate_timing_sweep;
 /// use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
@@ -886,7 +872,7 @@ impl<const W: usize> SweepSimW<W> {
 /// let mut gen = MultiProgramGenerator::new(Preset::Mips1.config(7))
 ///     .expect("preset is valid");
 /// let trace = gen.generate_records(20_000);
-/// let results = simulate_timing_sweep(&configs, &trace, 5_000)?;
+/// let results = simulate_timing_sweep(&configs, &trace, 5_000, &Metrics::disabled())?;
 /// assert_eq!(results.len(), 3);
 /// assert!(results[0].total_cycles <= results[2].total_cycles);
 /// # Ok::<(), mlc_sim::SimConfigError>(())
@@ -896,54 +882,18 @@ pub struct TimingSweepSim {
     inner: SweepDispatch,
 }
 
-/// The monomorphized widths behind [`TimingSweepSim`], one variant per
-/// entry of [`LANE_WIDTHS`]. The wide variants make the enum big, but
-/// exactly one lives per sweep pass and it is never moved mid-run, so
-/// the by-value layout costs nothing and keeps the dispatch free of
-/// indirection.
+/// The two widths behind [`TimingSweepSim`]. The wide variant makes the
+/// enum big, but exactly one lives per sweep pass and it is never moved
+/// mid-run, so the by-value layout costs nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum SweepDispatch {
     W2(SweepSimW<2>),
-    W4(SweepSimW<4>),
-    W6(SweepSimW<6>),
-    W8(SweepSimW<8>),
-    W12(SweepSimW<12>),
-    W16(SweepSimW<16>),
-    W24(SweepSimW<24>),
-}
-
-macro_rules! each_width {
-    ($self:expr, $sim:ident => $body:expr) => {
-        match &$self.inner {
-            SweepDispatch::W2($sim) => $body,
-            SweepDispatch::W4($sim) => $body,
-            SweepDispatch::W6($sim) => $body,
-            SweepDispatch::W8($sim) => $body,
-            SweepDispatch::W12($sim) => $body,
-            SweepDispatch::W16($sim) => $body,
-            SweepDispatch::W24($sim) => $body,
-        }
-    };
-}
-
-macro_rules! each_width_mut {
-    ($self:expr, $sim:ident => $body:expr) => {
-        match &mut $self.inner {
-            SweepDispatch::W2($sim) => $body,
-            SweepDispatch::W4($sim) => $body,
-            SweepDispatch::W6($sim) => $body,
-            SweepDispatch::W8($sim) => $body,
-            SweepDispatch::W12($sim) => $body,
-            SweepDispatch::W16($sim) => $body,
-            SweepDispatch::W24($sim) => $body,
-        }
-    };
+    W12(SweepSimW<MAX_LANES>),
 }
 
 impl TimingSweepSim {
-    /// Builds a sweep simulator from one configuration per lane,
-    /// dispatching to the smallest monomorphized width that fits.
+    /// Builds a sweep simulator from one configuration per lane.
     ///
     /// # Errors
     ///
@@ -961,68 +911,48 @@ impl TimingSweepSim {
                 configs.len()
             )));
         }
-        let inner = match configs.len() {
-            1..=2 => SweepDispatch::W2(SweepSimW::new(configs)?),
-            3..=4 => SweepDispatch::W4(SweepSimW::new(configs)?),
-            5..=6 => SweepDispatch::W6(SweepSimW::new(configs)?),
-            7..=8 => SweepDispatch::W8(SweepSimW::new(configs)?),
-            9..=12 => SweepDispatch::W12(SweepSimW::new(configs)?),
-            13..=16 => SweepDispatch::W16(SweepSimW::new(configs)?),
-            _ => SweepDispatch::W24(SweepSimW::new(configs)?),
+        let inner = if configs.len() <= 2 {
+            SweepDispatch::W2(SweepSimW::new(configs)?)
+        } else {
+            SweepDispatch::W12(SweepSimW::new(configs)?)
         };
         Ok(TimingSweepSim { inner })
     }
 
     /// Number of timing lanes (the number of configurations supplied).
     pub fn lanes(&self) -> usize {
-        each_width!(self, sim => sim.lanes)
-    }
-
-    /// The monomorphized vector width carrying those lanes (an entry of
-    /// [`LANE_WIDTHS`], `>= self.lanes()`).
-    pub fn width(&self) -> usize {
         match &self.inner {
-            SweepDispatch::W2(_) => 2,
-            SweepDispatch::W4(_) => 4,
-            SweepDispatch::W6(_) => 6,
-            SweepDispatch::W8(_) => 8,
-            SweepDispatch::W12(_) => 12,
-            SweepDispatch::W16(_) => 16,
-            SweepDispatch::W24(_) => 24,
+            SweepDispatch::W2(sim) => sim.lanes,
+            SweepDispatch::W12(sim) => sim.lanes,
         }
     }
 
-    /// Runs every record of `records` through the hierarchy.
-    pub fn run<I>(&mut self, records: I)
-    where
-        I: IntoIterator<Item = TraceRecord>,
-    {
-        each_width_mut!(self, sim => {
-            let mut st = sim.cpu;
-            for rec in records {
-                sim.step_on(&mut st, rec);
-            }
-            sim.cpu = st;
-        })
-    }
-
-    /// Processes a single trace record (mirrors `HierarchySim::step`).
-    pub fn step(&mut self, rec: TraceRecord) {
-        each_width_mut!(self, sim => sim.step(rec))
+    /// The vector width carrying those lanes: 2 for one or two lanes,
+    /// else [`MAX_LANES`].
+    pub fn width(&self) -> usize {
+        match &self.inner {
+            SweepDispatch::W2(_) => 2,
+            SweepDispatch::W12(_) => MAX_LANES,
+        }
     }
 
     /// Runs a slice of records through the hierarchy, dispatching to the
-    /// monomorphized width once for the whole slice rather than once per
-    /// record — the hot path for bulk simulation.
+    /// width once for the whole slice rather than once per record.
     pub fn run_slice(&mut self, records: &[TraceRecord]) {
-        each_width_mut!(self, sim => sim.run_batch(records))
+        match &mut self.inner {
+            SweepDispatch::W2(sim) => sim.run_batch(records),
+            SweepDispatch::W12(sim) => sim.run_batch(records),
+        }
     }
 
     /// Resets all statistics and starts a fresh measurement window at the
     /// current simulated time in every lane (mirrors
     /// `HierarchySim::reset_measurement`).
     pub fn reset_measurement(&mut self) {
-        each_width_mut!(self, sim => sim.reset_measurement())
+        match &mut self.inner {
+            SweepDispatch::W2(sim) => sim.reset_measurement(),
+            SweepDispatch::W12(sim) => sim.reset_measurement(),
+        }
     }
 
     /// Snapshot of the current measurement window, one [`SimResult`] per
@@ -1030,7 +960,10 @@ impl TimingSweepSim {
     /// traffic, buffer flow) are identical across lanes by construction;
     /// cycle totals, stall counters and memory waits are per-lane.
     pub fn results(&self) -> Vec<SimResult> {
-        each_width!(self, sim => sim.results())
+        match &self.inner {
+            SweepDispatch::W2(sim) => sim.results(),
+            SweepDispatch::W12(sim) => sim.results(),
+        }
     }
 }
 
@@ -1038,6 +971,11 @@ impl TimingSweepSim {
 /// first `warmup` records from the statistics, and returns one
 /// [`SimResult`] per configuration (in order). Lists longer than
 /// [`MAX_LANES`] are transparently split into several passes.
+///
+/// Phase timing goes to `metrics`: phases `sweep.warmup` and
+/// `sweep.measure` accumulate across passes, and the counter
+/// `sweep.lane_passes` counts the passes. Pass
+/// [`Metrics::disabled`] to record nothing.
 ///
 /// # Errors
 ///
@@ -1047,14 +985,20 @@ pub fn simulate_timing_sweep(
     configs: &[HierarchyConfig],
     records: &[TraceRecord],
     warmup: usize,
+    metrics: &Metrics,
 ) -> Result<Vec<SimResult>, SimConfigError> {
     let mut out = Vec::with_capacity(configs.len());
-    for chunk in configs.chunks(MAX_LANES.max(1)) {
+    for chunk in configs.chunks(MAX_LANES) {
         let mut sim = TimingSweepSim::new(chunk)?;
+        metrics.add("sweep.lane_passes", 1);
         let warm = warmup.min(records.len());
+        let timer = metrics.time_phase("sweep.warmup");
         sim.run_slice(&records[..warm]);
+        timer.stop();
         sim.reset_measurement();
+        let timer = metrics.time_phase("sweep.measure");
         sim.run_slice(&records[warm..]);
+        timer.stop();
         out.extend(sim.results());
     }
     Ok(out)
@@ -1077,6 +1021,10 @@ mod tests {
         BaseMachine::new().l2_cycles(cycles).build().unwrap()
     }
 
+    fn sweep(configs: &[HierarchyConfig], trace: &[TraceRecord], warmup: usize) -> Vec<SimResult> {
+        simulate_timing_sweep(configs, trace, warmup, &Metrics::disabled()).unwrap()
+    }
+
     /// Lane 0 reproduces the scalar simulator cycle-exactly by
     /// construction: same decisions, same order, same arithmetic.
     #[test]
@@ -1085,8 +1033,7 @@ mod tests {
         for cycles in [1u64, 3, 7] {
             let solo =
                 simulate_with_warmup(base_at(cycles), trace.iter().copied(), 10_000).unwrap();
-            let swept =
-                simulate_timing_sweep(&[base_at(cycles), base_at(1)], &trace, 10_000).unwrap();
+            let swept = sweep(&[base_at(cycles), base_at(1)], &trace, 10_000);
             assert_eq!(swept[0], solo, "decision lane at l2_cycles={cycles}");
         }
     }
@@ -1098,7 +1045,7 @@ mod tests {
         let trace = preset_trace(40_000, 5);
         let ladder = [1u64, 2, 3, 5, 8];
         let configs: Vec<_> = ladder.iter().map(|&c| base_at(c)).collect();
-        let swept = simulate_timing_sweep(&configs, &trace, 10_000).unwrap();
+        let swept = sweep(&configs, &trace, 10_000);
         for (&cycles, result) in ladder.iter().zip(&swept) {
             let solo =
                 simulate_with_warmup(base_at(cycles), trace.iter().copied(), 10_000).unwrap();
@@ -1106,50 +1053,33 @@ mod tests {
         }
     }
 
-    /// Every monomorphized width produces the same per-lane results as
-    /// scalar runs: the padding lanes never leak into real lanes.
+    /// Every lane count at both widths matches scalar runs lane for lane
+    /// (the unused tail lanes never leak into real ones), and a ladder
+    /// longer than [`MAX_LANES`] chunks into full passes plus a tail,
+    /// each chunk's first lane being its own decision lane.
     #[test]
-    fn every_width_matches_scalar_runs() {
+    fn every_lane_count_matches_scalar_runs() {
         let trace = preset_trace(20_000, 7);
-        // Lane counts hitting each width: 1→W2, 3→W4, 5→W6, 7→W8,
-        // 9→W12, 13→W16, 17→W24.
-        for lanes in [1usize, 3, 5, 7, 9, 12, 13, 17] {
-            let ladder: Vec<u64> = (1..=lanes as u64).collect();
-            let configs: Vec<_> = ladder.iter().map(|&c| base_at(c)).collect();
-            let sim = TimingSweepSim::new(&configs).unwrap();
-            assert!(sim.width() >= lanes, "width {} < {lanes}", sim.width());
-            assert_eq!(sim.lanes(), lanes);
-            let swept = simulate_timing_sweep(&configs, &trace, 5_000).unwrap();
-            for (&cycles, result) in ladder.iter().zip(&swept) {
-                let solo =
-                    simulate_with_warmup(base_at(cycles), trace.iter().copied(), 5_000).unwrap();
-                assert_eq!(result, &solo, "{lanes}-lane sweep at l2_cycles={cycles}");
-            }
-        }
-    }
-
-    /// Dispatch picks the smallest monomorphized width that fits.
-    #[test]
-    fn dispatch_picks_smallest_width() {
-        for (lanes, want) in [
-            (1, 2),
-            (2, 2),
-            (3, 4),
-            (4, 4),
-            (5, 6),
-            (6, 6),
-            (7, 8),
-            (8, 8),
-        ]
-        .into_iter()
-        .chain((9..=12).map(|l| (l, 12)))
-        .chain((13..=16).map(|l| (l, 16)))
-        .chain((17..=24).map(|l| (l, 24)))
-        {
+        let solo: Vec<SimResult> = (1..=25)
+            .map(|c| simulate_with_warmup(base_at(c), trace.iter().copied(), 5_000).unwrap())
+            .collect();
+        for lanes in 1..=MAX_LANES {
             let configs: Vec<_> = (1..=lanes as u64).map(base_at).collect();
             let sim = TimingSweepSim::new(&configs).unwrap();
-            assert_eq!(sim.width(), want, "{lanes} lanes");
-            assert!(LANE_WIDTHS.contains(&sim.width()));
+            assert_eq!(sim.width(), if lanes <= 2 { 2 } else { 12 });
+            assert_eq!(sim.lanes(), lanes);
+            assert_eq!(
+                sweep(&configs, &trace, 5_000),
+                solo[..lanes],
+                "{lanes} lanes"
+            );
+        }
+
+        let configs: Vec<_> = (1..=25).map(base_at).collect();
+        let swept = sweep(&configs, &trace, 5_000);
+        assert_eq!(swept.len(), 25);
+        for lane in [0, 12, 24] {
+            assert_eq!(swept[lane], solo[lane], "decision lane {lane}");
         }
     }
 
@@ -1157,7 +1087,7 @@ mod tests {
     fn totals_monotone_in_cycle_time() {
         let trace = preset_trace(30_000, 9);
         let configs: Vec<_> = (1..=6).map(base_at).collect();
-        let swept = simulate_timing_sweep(&configs, &trace, 5_000).unwrap();
+        let swept = sweep(&configs, &trace, 5_000);
         for pair in swept.windows(2) {
             assert!(pair[1].total_cycles >= pair[0].total_cycles);
         }
@@ -1166,7 +1096,7 @@ mod tests {
     #[test]
     fn functional_counters_shared_across_lanes() {
         let trace = preset_trace(30_000, 11);
-        let swept = simulate_timing_sweep(&[base_at(1), base_at(9)], &trace, 5_000).unwrap();
+        let swept = sweep(&[base_at(1), base_at(9)], &trace, 5_000);
         let (a, b) = (&swept[0], &swept[1]);
         assert_eq!(a.instructions, b.instructions);
         for (la, lb) in a.levels.iter().zip(b.levels.iter()) {
@@ -1183,7 +1113,7 @@ mod tests {
     fn chunking_handles_more_than_max_lanes() {
         let trace = preset_trace(5_000, 13);
         let configs: Vec<_> = (1..=(MAX_LANES as u64 + 3)).map(base_at).collect();
-        let swept = simulate_timing_sweep(&configs, &trace, 1_000).unwrap();
+        let swept = sweep(&configs, &trace, 1_000);
         assert_eq!(swept.len(), MAX_LANES + 3);
         for pair in swept.windows(2) {
             assert!(pair[1].total_cycles >= pair[0].total_cycles);
