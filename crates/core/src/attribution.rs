@@ -23,7 +23,6 @@
 //! prints, but the model column is empty: Equation 1 has no terms for
 //! an L3, and extrapolating it silently would defeat the cross-check.
 
-use mlc_mem::Bus;
 use mlc_sim::{Clock, CycleLedger, HierarchyConfig, LevelCacheConfig, SimResult};
 
 use crate::model::ExecutionTimeModel;
@@ -73,7 +72,7 @@ pub fn eq1_params(config: &HierarchyConfig) -> Option<Eq1Params> {
 pub fn memory_read_cycles(config: &HierarchyConfig) -> u64 {
     let deepest = config.levels.len() - 1;
     let level = &config.levels[deepest];
-    let bus = Bus::new(level.refill_bus_bytes, config.refill_bus_cycles(deepest));
+    let bus_cycle = config.refill_bus_cycles(deepest);
     let block_bytes = match &level.cache {
         LevelCacheConfig::Unified(c) => c.geometry().block_bytes(),
         LevelCacheConfig::Split { icache, dcache } => icache
@@ -82,7 +81,8 @@ pub fn memory_read_cycles(config: &HierarchyConfig) -> u64 {
             .max(dcache.geometry().block_bytes()),
     };
     let read_cycles = Clock::new(config.cpu.cycle_ns).ns_to_cycles(config.memory.read_ns);
-    bus.address_ticks() + read_cycles + bus.data_ticks(block_bytes)
+    let data_beats = block_bytes.div_ceil(level.refill_bus_bytes);
+    bus_cycle + read_cycles + data_beats * bus_cycle
 }
 
 /// One line of the attribution cross-check: a ledger bucket (or sum of

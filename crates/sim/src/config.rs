@@ -362,6 +362,22 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
+    /// The bus checks the timing engine relies on: a zero or
+    /// non-power-of-two width and a zero cycle time never reach it.
+    #[test]
+    fn validation_rejects_bad_buses() {
+        for bytes in [0, 12] {
+            let mut c = two_level();
+            c.levels[1].refill_bus_bytes = bytes;
+            let err = c.validate().unwrap_err();
+            assert!(err.to_string().contains("refill_bus_bytes"), "{err}");
+        }
+        let mut c = two_level();
+        c.levels[0].refill_bus_cycles = Some(0);
+        let err = c.validate().unwrap_err();
+        assert!(err.to_string().contains("refill_bus_cycles"), "{err}");
+    }
+
     #[test]
     fn memory_scaling() {
         let m = MemoryConfig::default().scaled(2.0);

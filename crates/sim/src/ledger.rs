@@ -12,11 +12,11 @@
 //!
 //! # How conservation is achieved
 //!
-//! Attribution is settled once per trace record. While
-//! `HierarchySim::step` walks the hierarchy it records the *components*
-//! of the access's critical path into a [`LedgerScratch`] — tag checks
-//! and hit times per level, memory service, refresh-gap waits,
-//! buffer-full drains — in temporal order. When the record completes,
+//! Attribution is settled once per trace record. While the timing
+//! engine walks the hierarchy, `HierarchySim`'s observer records the
+//! *components* of the access's critical path into a [`LedgerScratch`]
+//! — tag checks and hit times per level, memory service, refresh-gap
+//! waits, buffer-full drains — in temporal order. When the record completes,
 //! the simulator knows precisely how many cycles the clock advanced
 //! (`delta`), how many of those were the base execute cycle (`exec`, 0
 //! or 1), and therefore the exact stall (`delta - exec`). The scratch

@@ -10,8 +10,16 @@
 //!
 //! * [`HierarchyConfig`] / [`machine`] — describe a machine (the paper's
 //!   base machine is one call away).
-//! * [`HierarchySim`] / [`simulate`] / [`simulate_with_warmup`] — run a
-//!   reference trace and collect [`SimResult`].
+//! * [`sweep`] — the timing engine. One walk of the hierarchy prices a
+//!   trace under one or more timing variants ("lanes") at once; every
+//!   simulation in the workspace runs through it.
+//! * [`simulate`] / [`simulate_with_warmup`] — run a reference trace and
+//!   collect [`SimResult`] (the engine with no observer).
+//! * [`HierarchySim`] — the same engine, one lane, with an attributing
+//!   observer: the [`CycleLedger`], [`SimHistograms`], sampled events,
+//!   and the `check-invariants` checker.
+//! * [`TimingSweepSim`] / [`simulate_timing_sweep`] — up to
+//!   [`MAX_LANES`] timing variants of one cache organisation per pass.
 //! * [`solo`] — fast functional runs for the paper's *solo* miss ratios.
 //! * [`ledger`] — exhaustive cycle attribution: every cycle of
 //!   [`SimResult::total_cycles`] lands in exactly one Equation 1 bucket
@@ -46,7 +54,6 @@ mod clock;
 mod config;
 mod hierarchy;
 pub mod ledger;
-mod level;
 pub mod machine;
 pub mod metrics;
 pub mod observe;

@@ -121,7 +121,7 @@ pub struct EventCounts {
     /// `T-recovery` term.
     ///
     /// **Units**: memory "ticks" equal CPU cycles in every `mlc-sim`
-    /// integration — [`crate::HierarchySim`] builds its
+    /// integration — the timing engine builds its
     /// [`mlc_mem::MemoryTiming`] through `Clock::ns_to_cycles`, so the
     /// memory model counts in the CPU's clock. (The name keeps "ticks"
     /// because `mlc-mem` itself is clock-agnostic: handed a timing in

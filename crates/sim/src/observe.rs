@@ -1,18 +1,19 @@
 //! Feeding the `mlc-obs` metrics core from simulation runs.
 //!
-//! The simulator's hot path ([`HierarchySim::step`]) never touches a
-//! metrics handle — observability here is strictly phase-boundary work:
-//! the observed drivers time the warm-up and measurement passes
-//! separately, then translate the final [`SimResult`] event counts into
-//! named counters. With a disabled handle the drivers cost exactly one
-//! branch more than the plain ones.
+//! The simulator's hot path (the timing engine's per-record walk) never
+//! touches a metrics handle — observability here is strictly
+//! phase-boundary work: the observed drivers time the warm-up and
+//! measurement passes separately, then translate the final
+//! [`SimResult`] event counts into named counters. With a disabled
+//! handle the drivers cost exactly one branch more than the plain ones.
 
 use mlc_obs::{EventTracer, Metrics};
 use mlc_trace::TraceRecord;
 
-use crate::hierarchy::HierarchySim;
+use crate::hierarchy::{simulate_plain, HierarchySim};
 use crate::ledger::{CycleLedger, SimHistograms};
 use crate::metrics::SimResult;
+use crate::sweep::warm_then_measure;
 use crate::{HierarchyConfig, SimConfigError};
 
 /// Translates a [`SimResult`] into `mlc-obs` counters under `scope`
@@ -148,18 +149,13 @@ pub fn simulate_with_warmup_attributed(
     if let Some(every) = sample_every {
         sim.attach_tracer(EventTracer::new(every.max(1)));
     }
-    let warm = warmup.min(records.len());
-    let timer = metrics.time_phase("sim.warmup");
-    for rec in &records[..warm] {
-        sim.step(*rec);
-    }
-    timer.stop();
-    sim.reset_measurement();
-    let timer = metrics.time_phase("sim.measure");
-    for rec in &records[warm..] {
-        sim.step(*rec);
-    }
-    timer.stop();
+    warm_then_measure(
+        &mut sim.engine,
+        records.iter().copied(),
+        warmup,
+        metrics,
+        "sim",
+    );
     let result = sim.result();
     let level_names = sim.level_names();
     let names: Vec<&str> = level_names.iter().map(String::as_str).collect();
@@ -190,20 +186,7 @@ pub fn simulate_with_warmup_observed(
     warmup: usize,
     metrics: &Metrics,
 ) -> Result<SimResult, SimConfigError> {
-    let mut sim = HierarchySim::new(config)?;
-    let warm = warmup.min(records.len());
-    let timer = metrics.time_phase("sim.warmup");
-    for rec in &records[..warm] {
-        sim.step(*rec);
-    }
-    timer.stop();
-    sim.reset_measurement();
-    let timer = metrics.time_phase("sim.measure");
-    for rec in &records[warm..] {
-        sim.step(*rec);
-    }
-    timer.stop();
-    let result = sim.result();
+    let result = simulate_plain(config, records.iter().copied(), warmup, metrics)?;
     observe_result(metrics, "sim", &result);
     Ok(result)
 }

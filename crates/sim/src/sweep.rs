@@ -1,19 +1,43 @@
-//! Timing-decoupled sweep simulation: one functional trace pass priced
-//! under many cycle-time variants simultaneously.
+//! The timing engine: one functional trace pass priced under one or more
+//! timing variants at once.
 //!
-//! # Why this is possible
+//! # Timing model
+//!
+//! Time is counted in integer CPU cycles ("ticks"). The CPU executes one
+//! instruction fetch and at most one data access per non-stall cycle;
+//! both issue at the cycle's start (the split L1 services them in
+//! parallel) and the next cycle begins when every outstanding access of
+//! the current cycle has completed.
+//!
+//! * A read that hits at a level completes after that level's
+//!   `read_cycles`; delivering an upstream block wider than the bus costs
+//!   one extra bus cycle per additional beat.
+//! * A miss pays the level's own access time (its tag check) and then
+//!   fetches from downstream, so a read that misses L1 and hits L2 costs
+//!   `n_L1 + n_L2` — exactly the structure of the paper's Equation 1, and
+//!   its "nominal cache miss penalty of 3 CPU cycles" for an L1 miss that
+//!   hits a 3-cycle L2. The requester resumes when its whole block has
+//!   arrived, as the paper specifies for both L1 and L2 misses.
+//! * Dirty victims enter the evicting level's write buffer. Buffers drain
+//!   *lazily*: whenever a demand request is about to use a level, queued
+//!   writes that could have started in the level's preceding idle time
+//!   are retired first (they may still be in service when the demand
+//!   arrives — service is not preempted). A full buffer forces a
+//!   synchronous drain, stalling the requester — the paper's
+//!   buffer-full stall.
+//! * Main memory serialises operations and enforces the refresh gap (see
+//!   [`mlc_mem::MainMemory`]).
+//!
+//! # Lanes
 //!
 //! The hierarchy's *functional* behaviour — which references hit, which
 //! blocks are fetched, evicted or written back — does not depend on the
 //! levels' cycle times (see the `functional_behaviour_is_independent_of_
 //! cycle_times` test in `hierarchy.rs`): cache contents are determined by
 //! the reference order, which the in-order CPU model fixes. Only the
-//! *prices* change. So a grid sweep over L2 cycle times can run the cache
-//! model once and carry a vector of clocks — one **lane** per cycle-time
-//! variant — through the exact timing arithmetic of
-//! [`HierarchySim`](crate::HierarchySim).
-//!
-//! # What each lane carries
+//! *prices* change. So the engine runs the cache model once and carries a
+//! vector of clocks — one **lane** per timing variant — through the
+//! timing arithmetic.
 //!
 //! Per lane: the simulated clock, per-level busy times, per-level
 //! read/write/bus cycle counts, write-buffer entry ready-times, a main
@@ -22,17 +46,31 @@
 //! the write-buffer *contents* (addresses and occupancy), and every
 //! hit/miss/traffic counter.
 //!
-//! # Lane widths
+//! # Widths and observers
 //!
 //! The per-lane arithmetic runs over fixed-width `[u64; W]` vectors, so
 //! the compiler unrolls (and auto-vectorizes) every loop with no runtime
-//! lane bound. The simulator is compiled at two widths:
-//! [`TimingSweepSim::new`] runs one or two lanes at width 2 and up to
-//! [`MAX_LANES`] (12) at width 12. The paper's 10-point L2 cycle ladder
-//! fits one 12-lane pass; a one-point job, such as a daemon request for a
-//! single cycle time, pays for 2 lanes rather than 12.
-//! [`simulate_timing_sweep`] chunks longer ladders into 12-lane passes.
-//! Unused tail lanes are computed on lane 0's timing and dropped.
+//! lane bound. A second type parameter, the [`Observer`], receives lane
+//! 0's view of every record: the critical-path components, the fetch
+//! latencies, the buffer occupancies and the record's end. Three
+//! instances are compiled:
+//!
+//! * [`TimingSweepSim`] runs one or two lanes at width 2 and up to
+//!   [`MAX_LANES`] (12) at width 12, with the zero-sized no-op observer.
+//!   The paper's 10-point L2 cycle ladder fits one 12-lane pass; a
+//!   one-point job, such as a daemon request for a single cycle time or a
+//!   plain [`simulate`](crate::simulate) run, pays for 2 lanes rather
+//!   than 12. [`simulate_timing_sweep`] chunks longer ladders into
+//!   12-lane passes.
+//! * [`HierarchySim`](crate::HierarchySim) is one lane at width 1 whose
+//!   observer settles the cycle ledger, records the histograms, samples
+//!   events and, in `check-invariants` builds, checks the hierarchy after
+//!   every record.
+//!
+//! Unused tail lanes carry lane 0's timing parameters but have no main
+//! memory: `memory_read` and `write_downstream` leave their completions
+//! at 0, so their clocks mean nothing, and [`TimingSweepSim::results`]
+//! drops them.
 //!
 //! # The one approximation
 //!
@@ -41,22 +79,22 @@
 //! that feeds back into cache state: draining performs a downstream
 //! write access. To keep one shared functional state, lane 0 — the
 //! **decision lane** — makes all drain decisions; other lanes retire the
-//! same entries at their own times. Lane 0 therefore reproduces
-//! [`HierarchySim`](crate::HierarchySim) cycle-exactly *by construction*;
-//! other lanes agree except where their native drain window would have
-//! differed from lane 0's, which the cross-check machinery in `mlc-core`
-//! (and the `--engine exhaustive` escape hatch in `mlc-sweep`) exists to
-//! bound.
+//! same entries at their own times. A one-lane run is therefore exact;
+//! other lanes agree with their own one-lane runs except where their
+//! native drain window would have differed from lane 0's, which the
+//! cross-check machinery in `mlc-core` (and the `--engine exhaustive`
+//! escape hatch in `mlc-sweep`) exists to bound.
 
 use std::collections::VecDeque;
 
-use mlc_cache::{CacheUnit, Fill, FillReason};
+use mlc_cache::{AccessResult, CacheUnit, Fill, FillReason};
 use mlc_mem::{BufferedWrite, MainMemory, MemOpKind, MemoryTiming, WriteBuffer};
 use mlc_obs::Metrics;
 use mlc_trace::{AccessKind, Address, TraceRecord};
 
 use crate::clock::Clock;
 use crate::config::{HierarchyConfig, LevelCacheConfig, SimConfigError};
+use crate::ledger::Cause;
 use crate::metrics::{LevelMetrics, SimResult};
 
 /// The largest number of timing variants one [`TimingSweepSim`] carries.
@@ -108,7 +146,9 @@ fn side(kind: AccessKind) -> usize {
     usize::from(kind.is_data())
 }
 
-/// Per-lane bus timing: fixed width, per-lane cycle time.
+/// Per-lane bus timing: fixed width, per-lane cycle time. A transfer
+/// costs one bus cycle for the address plus ⌈bytes / width⌉ cycles of
+/// data.
 #[derive(Debug, Clone, Copy)]
 struct SweepBus<const W: usize> {
     width_bytes: u64,
@@ -131,6 +171,10 @@ impl<const W: usize> SweepBus<W> {
         out
     }
 
+    /// Data ticks *beyond the first beat*: a cache access time already
+    /// covers delivery of the first bus-width beat (an L1 miss that hits
+    /// in L2 costs exactly one L2 cycle when the L1 block equals the bus
+    /// width), so only the remaining beats add latency.
     #[inline(always)]
     fn extra_beat_ticks(&self, bytes: u64) -> [u64; W] {
         let beats = bytes.div_ceil(self.width_bytes).saturating_sub(1);
@@ -148,20 +192,30 @@ impl<const W: usize> SweepBus<W> {
 }
 
 /// One hierarchy level: shared cache and buffer contents, per-lane timing.
+///
+/// `busy` tracks when each side of the cache becomes free. Split levels
+/// have independent instruction/data timing; unified levels keep both
+/// entries equal.
 #[derive(Debug, Clone)]
-struct SweepLevel<const W: usize> {
-    name: String,
-    cache: CacheUnit,
+pub(crate) struct SweepLevel<const W: usize> {
+    pub(crate) name: String,
+    pub(crate) cache: CacheUnit,
     read_cycles: [u64; W],
     write_cycles: [u64; W],
+    /// The bus over which this level refills from (and writes back to)
+    /// the next level down.
     refill_bus: SweepBus<W>,
-    /// Shared buffer contents; each entry's `ready_at` is lane 0's.
-    out_buffer: WriteBuffer,
+    /// Writes from this level awaiting drain downstream; each entry's
+    /// `ready_at` is lane 0's.
+    pub(crate) out_buffer: WriteBuffer,
     /// Per-entry per-lane ready times, parallel to `out_buffer`.
     ready: VecDeque<[u64; W]>,
     split: bool,
     busy: [[u64; W]; 2],
+    /// Bytes fetched into this level from downstream (demand, group,
+    /// prefetch and sub-block fills alike).
     fetched_bytes: u64,
+    /// Bytes this level pushed downstream through its write buffer.
     writeback_bytes: u64,
 }
 
@@ -175,6 +229,8 @@ impl<const W: usize> SweepLevel<W> {
         }
     }
 
+    /// Marks the side serving `kind` busy until `t` (both sides for a
+    /// unified cache). Busy times only move forward.
     #[inline(always)]
     fn set_busy(&mut self, kind: AccessKind, t: [u64; W]) {
         if self.split {
@@ -207,6 +263,15 @@ impl<const W: usize> SweepLevel<W> {
     fn busy_any(&self) -> [u64; W] {
         vmax(self.busy[0], self.busy[1])
     }
+
+    /// The block size of the side that holds dirty data (the data side
+    /// of a split level).
+    fn dirty_block_bytes(&self) -> u64 {
+        match &self.cache {
+            CacheUnit::Unified(c) => c.geometry().block_bytes(),
+            CacheUnit::Split(s) => s.dcache().geometry().block_bytes(),
+        }
+    }
 }
 
 /// The CPU-side per-record state: clocks, issue tracking and stall
@@ -225,9 +290,10 @@ struct CpuState<const W: usize> {
     read_stall: [u64; W],
     write_stall: [u64; W],
     /// Level-0 port busy times ([instruction, data] when split). Only
-    /// `cpu_access` reads or writes level-0 busy state, so it lives here
-    /// with the clocks instead of in `SweepLevel` — touched every record,
-    /// it must stay in registers with the rest of the chain.
+    /// `cpu_access` reads or writes level-0 busy state during a record,
+    /// so it lives here with the clocks instead of in `SweepLevel` —
+    /// touched every record, it must stay in registers with the rest of
+    /// the chain.
     l1_busy: [[u64; W]; 2],
 }
 
@@ -272,11 +338,91 @@ impl<const W: usize> CpuState<W> {
     }
 }
 
-/// The width-`W` monomorphization behind [`TimingSweepSim`]: the timing
-/// model of [`HierarchySim`](crate::HierarchySim) evaluated under up to
-/// `W` timing variants in a single trace pass.
+/// Lane 0's account of one finished record, handed to
+/// [`Observer::end`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordEnd {
+    /// The record.
+    pub(crate) rec: TraceRecord,
+    /// The cycle it issued in.
+    pub(crate) issue: u64,
+    /// Its base execute cycle: 1 when it opened a cycle, 0 when it
+    /// shared one.
+    pub(crate) exec: u64,
+    /// Everything else the clock advanced during the record.
+    pub(crate) stall: u64,
+    /// The clock after the record.
+    pub(crate) now: u64,
+    /// Cycles since the measurement window opened (read only by the
+    /// `check-invariants` conservation check).
+    #[cfg(feature = "check-invariants")]
+    pub(crate) elapsed: u64,
+}
+
+/// Per-record hooks into the timing walk, seeing lane 0's times. Every
+/// method defaults to doing nothing, so [`NoObserver`] compiles to the
+/// bare walk.
+pub(crate) trait Observer {
+    /// Builds the observer for a hierarchy of `depth` cache levels.
+    fn new(depth: usize) -> Self;
+
+    /// A record is about to be walked.
+    #[inline(always)]
+    fn begin(&mut self) {}
+
+    /// The critical path reached hierarchy element `element`: a level
+    /// index, or the level count for main memory.
+    #[inline(always)]
+    fn touch(&mut self, _element: usize) {}
+
+    /// `ticks` of the critical path were spent on `cause`.
+    #[inline(always)]
+    fn record(&mut self, _cause: Cause, _ticks: u64) {}
+
+    /// Enters work that is off the requester's critical path.
+    #[inline(always)]
+    fn push_suppress(&mut self) {}
+
+    /// Leaves the matching [`Self::push_suppress`] region.
+    #[inline(always)]
+    fn pop_suppress(&mut self) {}
+
+    /// Level 0 missed (or victim-hit) on a read or instruction fetch.
+    #[inline(always)]
+    fn l0_read_miss(&mut self) {}
+
+    /// A fetch issued by level `level` returned after `ticks`.
+    #[inline(always)]
+    fn fetch_latency(&mut self, _level: usize, _kind: AccessKind, _ticks: u64) {}
+
+    /// A write buffer accepted an entry and now holds `len`.
+    #[inline(always)]
+    fn buffered(&mut self, _len: usize) {}
+
+    /// The record is done; `levels` is the hierarchy after it.
+    #[inline(always)]
+    fn end<const W: usize>(&mut self, _end: RecordEnd, _levels: &[SweepLevel<W>]) {}
+
+    /// The measurement window restarted.
+    #[inline(always)]
+    fn reset(&mut self) {}
+}
+
+/// The observer of the sweeps and the plain drivers: it takes no space
+/// and every hook is empty.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NoObserver;
+
+impl Observer for NoObserver {
+    fn new(_depth: usize) -> Self {
+        NoObserver
+    }
+}
+
+/// The timing engine at width `W` with observer `O`: the hierarchy
+/// evaluated under up to `W` timing variants in a single trace pass.
 #[derive(Debug, Clone)]
-struct SweepSimW<const W: usize> {
+pub(crate) struct SweepSimW<const W: usize, O> {
     lanes: usize,
     clocks: Vec<Clock>,
     levels: Vec<SweepLevel<W>>,
@@ -288,12 +434,13 @@ struct SweepSimW<const W: usize> {
     l1_split: bool,
     cpu: CpuState<W>,
     measure_start: [u64; W],
+    pub(crate) obs: O,
 }
 
-impl<const W: usize> SweepSimW<W> {
-    /// Builds a width-`W` sweep from one configuration per lane.
-    /// `configs.len()` must already be validated to lie in `1..=W`.
-    fn new(configs: &[HierarchyConfig]) -> Result<Self, SimConfigError> {
+impl<const W: usize, O: Observer> SweepSimW<W, O> {
+    /// Builds a width-`W` engine from one configuration per lane.
+    /// `configs.len()` must already be known to lie in `1..=W`.
+    pub(crate) fn new(configs: &[HierarchyConfig]) -> Result<Self, SimConfigError> {
         debug_assert!(
             !configs.is_empty() && configs.len() <= W,
             "dispatch guarantees 1..={W} configs"
@@ -380,6 +527,7 @@ impl<const W: usize> SweepSimW<W> {
         Ok(SweepSimW {
             lanes,
             clocks,
+            obs: O::new(levels.len()),
             levels,
             memories,
             l1_split,
@@ -398,13 +546,29 @@ impl<const W: usize> SweepSimW<W> {
         })
     }
 
-    /// Processes a single trace record against an explicit CPU state
-    /// (mirrors `HierarchySim::step`). `st` is `self.cpu`, passed as a
-    /// separate local by the bulk loop so it stays register-resident
-    /// across records.
+    /// Lane 0's CPU clock.
+    pub(crate) fn clock(&self) -> Clock {
+        self.clocks[0]
+    }
+
+    /// Lane 0's simulated time in CPU cycles.
+    pub(crate) fn now(&self) -> u64 {
+        self.cpu.now[0]
+    }
+
+    /// The level display names, upstream first.
+    pub(crate) fn level_names(&self) -> Vec<String> {
+        self.levels.iter().map(|l| l.name.clone()).collect()
+    }
+
+    /// Processes a single trace record against an explicit CPU state.
+    /// `st` is `self.cpu`, passed as a separate local by the bulk loop so
+    /// it stays register-resident across records.
     #[inline(always)]
     fn step_on(&mut self, st: &mut CpuState<W>, rec: TraceRecord) {
-        match rec.kind {
+        self.obs.begin();
+        let old_now = st.now[0];
+        let (issue, exec) = match rec.kind {
             AccessKind::InstructionFetch => {
                 let t = st.now;
                 let done = self.cpu_access(rec, t, st);
@@ -414,14 +578,18 @@ impl<const W: usize> SweepSimW<W> {
                 st.now = end;
                 st.cycle_issue = t;
                 st.cycle_has_data = false;
+                (t[0], 1)
             }
             AccessKind::Read | AccessKind::Write => {
-                let t = if st.cycle_has_data {
+                // A data reference executes in the cycle opened by the
+                // preceding instruction fetch; a second data record (or a
+                // data-only trace) opens a fresh cycle.
+                let (t, exec) = if st.cycle_has_data {
                     st.cycle_issue = st.now;
                     st.now = vadd1(st.now, 1);
-                    st.cycle_issue
+                    (st.cycle_issue, 1)
                 } else {
-                    st.cycle_issue
+                    (st.cycle_issue, 0)
                 };
                 st.cycle_has_data = true;
                 let done = self.cpu_access(rec, t, st);
@@ -439,12 +607,26 @@ impl<const W: usize> SweepSimW<W> {
                     vstall(&mut st.read_stall, done, st.now);
                 }
                 st.now = vmax(st.now, done);
+                (t[0], exec)
             }
-        }
+        };
+        let now = st.now[0];
+        self.obs.end(
+            RecordEnd {
+                rec,
+                issue,
+                exec,
+                stall: (now - old_now) - exec,
+                now,
+                #[cfg(feature = "check-invariants")]
+                elapsed: now - self.measure_start[0],
+            },
+            &self.levels,
+        );
     }
 
     /// Runs a batch of records with the CPU state held in a local.
-    fn run_batch(&mut self, records: &[TraceRecord]) {
+    pub(crate) fn run_batch(&mut self, records: &[TraceRecord]) {
         let mut st = self.cpu;
         for rec in records {
             self.step_on(&mut st, *rec);
@@ -452,8 +634,10 @@ impl<const W: usize> SweepSimW<W> {
         self.cpu = st;
     }
 
-    /// Mirrors `HierarchySim::reset_measurement`.
-    fn reset_measurement(&mut self) {
+    /// Resets all statistics and starts a fresh measurement window at the
+    /// current simulated time in every lane. Cache contents, buffer
+    /// contents and all timing state are preserved.
+    pub(crate) fn reset_measurement(&mut self) {
         self.measure_start = self.cpu.now;
         self.cpu.instructions = 0;
         self.cpu.loads = 0;
@@ -469,10 +653,11 @@ impl<const W: usize> SweepSimW<W> {
         for memory in &mut self.memories {
             memory.reset_stats();
         }
+        self.obs.reset();
     }
 
     /// One [`SimResult`] per lane in construction order.
-    fn results(&self) -> Vec<SimResult> {
+    pub(crate) fn results(&self) -> Vec<SimResult> {
         (0..self.lanes)
             .map(|l| SimResult {
                 total_cycles: self.cpu.now[l] - self.measure_start[l],
@@ -499,8 +684,45 @@ impl<const W: usize> SweepSimW<W> {
             .collect()
     }
 
+    /// When level `j` is next free on both sides (level 0's busy times
+    /// live in the CPU state).
+    fn level_busy_any(&self, j: usize) -> [u64; W] {
+        if j == 0 {
+            vmax(self.cpu.l1_busy[0], self.cpu.l1_busy[1])
+        } else {
+            self.levels[j].busy_any()
+        }
+    }
+
+    /// Drains every write buffer to completion (in upstream-to-downstream
+    /// order), without advancing the execution clock.
+    pub(crate) fn drain_all_buffers(&mut self) {
+        for j in 0..self.levels.len() {
+            while !self.levels[j].out_buffer.is_empty() {
+                let t = self.level_busy_any(j);
+                self.drain_one(j, t);
+            }
+        }
+    }
+
+    /// Flushes all dirty cache blocks downstream (upstream levels first)
+    /// and drains every buffer.
+    pub(crate) fn flush_all(&mut self) {
+        for j in 0..self.levels.len() {
+            let dirty = self.levels[j].cache.flush_dirty();
+            let bytes = self.levels[j].dirty_block_bytes();
+            for addr in dirty {
+                let t = self.level_busy_any(j);
+                self.push_writeback(j, addr, bytes, t);
+            }
+            // Cascade before flushing the next level so its buffer sees
+            // everything from upstream.
+            self.drain_all_buffers();
+        }
+    }
+
     // ------------------------------------------------------------------
-    // CPU-side access (level 0) — mirrors HierarchySim::cpu_access
+    // CPU-side access (level 0)
     // ------------------------------------------------------------------
 
     fn cpu_access(&mut self, rec: TraceRecord, t: [u64; W], st: &mut CpuState<W>) -> [u64; W] {
@@ -516,6 +738,7 @@ impl<const W: usize> SweepSimW<W> {
                 self.levels[0].read_cycles
             };
             let mut done = vadd(start, dur);
+            self.obs.record(Cause::Level(0), done[0] - t[0]);
             st.l1_store_busy(split, kind, done);
             if write_through {
                 let accepted = self.push_writeback(0, rec.addr, 4, done);
@@ -527,14 +750,23 @@ impl<const W: usize> SweepSimW<W> {
         let result = self.levels[0].cache.access(rec.addr, kind);
         let start = vmax(t, st.l1_busy_for(split, kind));
         debug_assert!(!result.hit, "access_hit covers every plain hit");
+        if !kind.is_write() {
+            self.obs.l0_read_miss();
+        }
 
+        // The miss is detected after the level's own access time — the
+        // n_L1 term of the paper's Equation 1 is paid on hits and misses
+        // alike.
         let detected = vadd(start, self.levels[0].read_cycles);
 
+        // Victim-buffer hit: a swap costing one extra access time, with
+        // no downstream fetch.
         if result.victim_hit {
             let mut done = vadd(detected, self.levels[0].read_cycles);
             if kind.is_write() && !result.write_through {
                 done = vadd(done, self.levels[0].write_cycles);
             }
+            self.obs.record(Cause::Level(0), done[0] - t[0]);
             st.l1_set_busy(split, kind, done);
             done = vmax(done, self.push_extra_writebacks(0, &result, done));
             if result.write_through {
@@ -544,15 +776,18 @@ impl<const W: usize> SweepSimW<W> {
             return done;
         }
 
+        // Miss with no allocation: forward the store downstream.
         if result.fills.is_empty() {
             // Invariant: a miss with no fills can only be a no-allocate
             // write-through; reads always allocate and therefore fill.
             debug_assert!(result.write_through, "read misses always fill");
+            self.obs.record(Cause::Level(0), detected[0] - t[0]);
             st.l1_set_busy(split, kind, detected);
             let accepted = self.push_writeback(0, rec.addr, 4, detected);
             return vmax(detected, accepted);
         }
 
+        self.obs.record(Cause::Level(0), detected[0] - t[0]);
         let need = self.levels[0].cache.block_bytes_for(kind);
         let (mut completion, chain) = self.service_fills(0, &result.fills, kind, need, detected);
         completion = vmax(
@@ -566,13 +801,21 @@ impl<const W: usize> SweepSimW<W> {
                 let accepted = self.push_writeback(0, rec.addr, 4, completion);
                 completion = vmax(completion, accepted);
             } else {
-                completion = vadd(completion, self.levels[0].write_cycles);
+                // Complete the allocating store into the freshly filled
+                // block (the paper's 2-cycle write).
+                let write = self.levels[0].write_cycles;
+                completion = vadd(completion, write);
+                self.obs.record(Cause::Level(0), write[0]);
                 st.l1_set_busy(split, kind, completion);
             }
         }
         completion
     }
 
+    /// Fetches every fill of a miss at level `idx` from downstream,
+    /// demand block first. Returns `(demand completion, chain end)`:
+    /// the requester resumes at the former; the level stays busy with
+    /// non-critical fills until the latter.
     fn service_fills(
         &mut self,
         idx: usize,
@@ -588,6 +831,12 @@ impl<const W: usize> SweepSimW<W> {
             .filter(|f| f.reason == FillReason::Demand)
             .chain(fills.iter().filter(|f| f.reason != FillReason::Demand));
         for fill in ordered {
+            let demand = fill.reason == FillReason::Demand;
+            // Non-demand fills (prefetched sectors, swap traffic) are off
+            // the requester's critical path.
+            if !demand {
+                self.obs.push_suppress();
+            }
             self.levels[idx].fetched_bytes += fill.bytes;
             let done = self.fetch_block(idx + 1, fill.block, kind, fill.bytes, chain);
             chain = done;
@@ -597,17 +846,22 @@ impl<const W: usize> SweepSimW<W> {
                 fin = vmax(fin, accepted);
                 chain = vmax(chain, accepted);
             }
-            if fill.reason == FillReason::Demand {
+            if demand {
                 completion = fin;
+            } else {
+                self.obs.pop_suppress();
             }
         }
         (completion, chain)
     }
 
     // ------------------------------------------------------------------
-    // Downstream read path — mirrors HierarchySim
+    // Downstream read path
     // ------------------------------------------------------------------
 
+    /// Reads the block of `need_bytes` containing `addr` from level `idx`
+    /// (or main memory when `idx` equals the depth), on behalf of level
+    /// `idx - 1`. Returns when the block is available to the requester.
     fn fetch_block(
         &mut self,
         idx: usize,
@@ -616,13 +870,33 @@ impl<const W: usize> SweepSimW<W> {
         need_bytes: u64,
         t: [u64; W],
     ) -> [u64; W] {
-        if idx == self.levels.len() {
-            return self.memory_read(addr, need_bytes, t);
-        }
+        let done = if idx == self.levels.len() {
+            self.memory_read(addr, need_bytes, t)
+        } else {
+            self.read_level(idx, addr, kind, need_bytes, t)
+        };
+        self.obs.fetch_latency(idx - 1, kind, done[0] - t[0]);
+        done
+    }
+
+    /// [`Self::fetch_block`] from cache level `idx`.
+    fn read_level(
+        &mut self,
+        idx: usize,
+        addr: Address,
+        kind: AccessKind,
+        need_bytes: u64,
+        t: [u64; W],
+    ) -> [u64; W] {
+        // Give queued writes from upstream their idle window first, and
+        // resolve any read-after-write hazard: if the requested block is
+        // still sitting in the upstream write buffer, it must be written
+        // down before the read may observe this level.
         self.drain_ready_before(idx - 1, t);
         let t = self.resolve_raw_hazard(idx - 1, addr, need_bytes, t);
+        self.obs.touch(idx);
 
-        let upstream_bus = self.levels[idx - 1].refill_bus;
+        let extra = self.levels[idx - 1].refill_bus.extra_beat_ticks(need_bytes);
         // Hit fast path; a downstream read hit never forwards store data,
         // so the write-through flag is irrelevant here (as in the full
         // path, which ignores it on hits).
@@ -630,22 +904,31 @@ impl<const W: usize> SweepSimW<W> {
             let start = vmax(t, self.levels[idx].busy_for(kind));
             let done = vadd(start, self.levels[idx].read_cycles);
             self.levels[idx].store_busy(kind, done);
-            return vadd(done, upstream_bus.extra_beat_ticks(need_bytes));
+            let ret = vadd(done, extra);
+            self.obs.record(Cause::Level(idx), ret[0] - t[0]);
+            return ret;
         }
 
         let result = self.levels[idx].cache.access(addr, kind);
         let start = vmax(t, self.levels[idx].busy_for(kind));
         debug_assert!(!result.hit, "access_hit covers every plain hit");
 
+        // Tag check at this level (n_L2 in Equation 1) precedes the
+        // downstream fetch.
         let detected = vadd(start, self.levels[idx].read_cycles);
 
         if result.victim_hit {
+            // Swap from the victim buffer: one extra access time, no
+            // downstream fetch.
             let mut done = vadd(detected, self.levels[idx].read_cycles);
+            self.obs
+                .record(Cause::Level(idx), done[0] + extra[0] - t[0]);
             self.levels[idx].set_busy(kind, done);
             done = vmax(done, self.push_extra_writebacks(idx, &result, done));
-            return vadd(done, upstream_bus.extra_beat_ticks(need_bytes));
+            return vadd(done, extra);
         }
 
+        self.obs.record(Cause::Level(idx), detected[0] - t[0]);
         let my_block = self.levels[idx].cache.block_bytes_for(kind);
         let (completion, chain) = self.service_fills(idx, &result.fills, kind, my_block, detected);
         let completion = vmax(
@@ -653,38 +936,65 @@ impl<const W: usize> SweepSimW<W> {
             self.push_extra_writebacks(idx, &result, completion),
         );
         self.levels[idx].set_busy(kind, chain);
-        vadd(completion, upstream_bus.extra_beat_ticks(need_bytes))
+        self.obs.record(Cause::Level(idx), extra[0]);
+        vadd(completion, extra)
     }
 
+    /// A main-memory block read issued at `t` over the deepest level's
+    /// refill bus (the backplane): one address cycle, the memory
+    /// operation (including any refresh-gap wait), then the data beats.
     fn memory_read(&mut self, addr: Address, need_bytes: u64, t: [u64; W]) -> [u64; W] {
-        let lanes = self.lanes;
-        let deepest = self.levels.len() - 1;
-        self.drain_ready_before(deepest, t);
-        let t = self.resolve_raw_hazard(deepest, addr, need_bytes, t);
-        let bus = self.levels[deepest].refill_bus;
+        let depth = self.levels.len();
+        self.drain_ready_before(depth - 1, t);
+        let t = self.resolve_raw_hazard(depth - 1, addr, need_bytes, t);
+        let bus = self.levels[depth - 1].refill_bus;
         let arrival = vadd(t, bus.address_ticks());
         let data = bus.data_ticks(need_bytes);
         let mut out = splat(0);
-        for l in 0..lanes {
+        let mut op_start = 0;
+        for l in 0..self.lanes {
             let op = self.memories[l].schedule(arrival[l], MemOpKind::Read);
             out[l] = op.end + data[l];
+            if l == 0 {
+                op_start = op.start;
+            }
         }
+        // Address cycles, then the wait for the memory to free up (busy
+        // serialisation + refresh gap), then the operation and data beats
+        // — in temporal order for the ledger's front-drop reconciliation.
+        self.obs.touch(depth);
+        self.obs.record(Cause::Memory, arrival[0] - t[0]);
+        self.obs.record(Cause::Refresh, op_start - arrival[0]);
+        self.obs.record(Cause::Memory, out[0] - op_start);
         out
     }
 
+    /// Drains level `j`'s buffer until no queued entry overlaps the block
+    /// about to be read from downstream (a read-after-write hazard: the
+    /// freshest copy of the data is in the buffer, so it must reach the
+    /// downstream level first). Returns when the hazard has cleared.
     fn resolve_raw_hazard(&mut self, j: usize, addr: Address, bytes: u64, t: [u64; W]) -> [u64; W] {
         let mut cleared = t;
+        // The whole hazard drain is one writeback lump on the requester's
+        // critical path; the drains' internals must not record on top.
+        self.obs.push_suppress();
         while self.levels[j].out_buffer.overlaps(addr, bytes) {
             let earliest = self.levels[j].ready.front().copied().unwrap_or(cleared);
             cleared = vmax(cleared, self.drain_one(j, vmax(cleared, earliest)));
         }
+        self.obs.pop_suppress();
+        self.obs.record(Cause::Writeback, cleared[0] - t[0]);
         cleared
     }
 
     // ------------------------------------------------------------------
-    // Write path (buffers and drains) — mirrors HierarchySim
+    // Write path (buffers and drains)
     // ------------------------------------------------------------------
 
+    /// Enqueues a write from level `j` toward level `j + 1`. If the buffer
+    /// is full, the oldest entry is drained synchronously first (the
+    /// paper's buffer-full stall). Returns when the entry was accepted —
+    /// the producer cannot proceed earlier.
     fn push_writeback(&mut self, j: usize, addr: Address, bytes: u64, t: [u64; W]) -> [u64; W] {
         let entry = BufferedWrite {
             addr,
@@ -694,10 +1004,16 @@ impl<const W: usize> SweepSimW<W> {
         self.levels[j].writeback_bytes += bytes;
         if self.levels[j].out_buffer.try_push(entry) {
             self.levels[j].ready.push_back(t);
+            self.obs.buffered(self.levels[j].out_buffer.len());
             return t;
         }
-        // Full: the producer waits for the oldest entry to retire.
+        // Full: the producer waits for the oldest entry to retire. The
+        // wait is one buffer-full lump; the drain's internals are not
+        // separately on the producer's critical path.
+        self.obs.push_suppress();
         let accepted = vmax(t, self.drain_one(j, t));
+        self.obs.pop_suppress();
+        self.obs.record(Cause::BufferFull, accepted[0] - t[0]);
         let pushed = self.levels[j].out_buffer.try_push(BufferedWrite {
             addr,
             bytes,
@@ -707,17 +1023,20 @@ impl<const W: usize> SweepSimW<W> {
         // buffer has at least one free slot for this push.
         debug_assert!(pushed, "buffer must have space after forced drain");
         self.levels[j].ready.push_back(accepted);
+        self.obs.buffered(self.levels[j].out_buffer.len());
         accepted
     }
 
     /// Retires queued writes that could have started strictly before `t`
-    /// in the downstream's idle window. The *decision* — which entries
-    /// count as "could have started" — is lane 0's; see the module docs.
+    /// in the downstream's idle window. Demand traffic arriving at `t`
+    /// has priority over writes that have not yet started. The
+    /// *decision* — which entries count as "could have started" — is
+    /// lane 0's; see the module docs.
     fn drain_ready_before(&mut self, j: usize, t: [u64; W]) {
-        loop {
-            let Some(ready) = self.levels[j].ready.front().copied() else {
-                return;
-            };
+        // Lazy drains run in the downstream's idle window, entirely off
+        // the demand critical path.
+        self.obs.push_suppress();
+        while let Some(ready) = self.levels[j].ready.front().copied() {
             let downstream_free = if j + 1 == self.levels.len() {
                 self.memory_busy_until()
             } else {
@@ -725,12 +1044,15 @@ impl<const W: usize> SweepSimW<W> {
             };
             let would_start = vmax(ready, downstream_free);
             if would_start[0] >= t[0] {
-                return;
+                break;
             }
             self.drain_one(j, would_start);
         }
+        self.obs.pop_suppress();
     }
 
+    /// Pops and retires the oldest entry of level `j`'s buffer, returning
+    /// its completion time (or `earliest` if the buffer was empty).
     fn drain_one(&mut self, j: usize, earliest: [u64; W]) -> [u64; W] {
         let Some(entry) = self.levels[j].out_buffer.pop() else {
             return earliest;
@@ -745,6 +1067,8 @@ impl<const W: usize> SweepSimW<W> {
         self.write_downstream(j, entry.addr, entry.bytes, start)
     }
 
+    /// Performs the downstream write of one buffered entry from level `j`
+    /// into level `j + 1` (or main memory), returning its completion.
     fn write_downstream(
         &mut self,
         j: usize,
@@ -752,26 +1076,26 @@ impl<const W: usize> SweepSimW<W> {
         bytes: u64,
         start: [u64; W],
     ) -> [u64; W] {
-        let l = self.lanes;
         let bus = self.levels[j].refill_bus;
         let target = j + 1;
         if target == self.levels.len() {
             let arrival = vadd(start, bus.transfer_ticks(bytes));
             let mut out = splat(0);
-            for lane in 0..l {
-                let op = self.memories[lane].schedule(arrival[lane], MemOpKind::Write);
-                out[lane] = op.end;
+            for (l, o) in out.iter_mut().enumerate().take(self.lanes) {
+                *o = self.memories[l].schedule(arrival[l], MemOpKind::Write).end;
             }
             return out;
         }
 
+        // The first data beat overlaps the write's first cycle; extra
+        // beats serialise before it, mirroring the read path.
+        let arrival = vadd(start, bus.extra_beat_ticks(bytes));
         // Hit fast path: a write hit has no fills and no victim-buffer
         // ejections, so only the write-through forwarding remains.
         if let Some(write_through) = self.levels[target]
             .cache
             .access_hit(addr, AccessKind::Write)
         {
-            let arrival = vadd(start, bus.extra_beat_ticks(bytes));
             let wstart = vmax(arrival, self.levels[target].busy_for(AccessKind::Write));
             let mut done = vadd(wstart, self.levels[target].write_cycles);
             if write_through {
@@ -783,7 +1107,6 @@ impl<const W: usize> SweepSimW<W> {
         }
 
         let result = self.levels[target].cache.access(addr, AccessKind::Write);
-        let arrival = vadd(start, bus.extra_beat_ticks(bytes));
         let wstart = vmax(arrival, self.levels[target].busy_for(AccessKind::Write));
         debug_assert!(!result.hit, "access_hit covers every plain hit");
 
@@ -793,6 +1116,8 @@ impl<const W: usize> SweepSimW<W> {
                 self.levels[target].write_cycles,
             )
         } else if result.fills.is_empty() {
+            // No-write-allocate target: tag check, then forward further
+            // down through the target's own buffer.
             let checked = vadd(wstart, self.levels[target].read_cycles);
             let accepted = self.push_writeback(target, addr, bytes, checked);
             vmax(checked, accepted)
@@ -813,23 +1138,22 @@ impl<const W: usize> SweepSimW<W> {
         done
     }
 
-    fn push_extra_writebacks(
-        &mut self,
-        j: usize,
-        result: &mlc_cache::AccessResult,
-        t: [u64; W],
-    ) -> [u64; W] {
+    /// Enqueues any victim-buffer ejections an access produced, returning
+    /// when the last one was accepted.
+    fn push_extra_writebacks(&mut self, j: usize, result: &AccessResult, t: [u64; W]) -> [u64; W] {
         let mut accepted = t;
         if result.extra_writebacks.is_empty() {
             return accepted;
         }
-        let bytes = match &self.levels[j].cache {
-            CacheUnit::Unified(c) => c.geometry().block_bytes(),
-            CacheUnit::Split(s) => s.dcache().geometry().block_bytes(),
-        };
+        let bytes = self.levels[j].dirty_block_bytes();
+        // Several ejections push at the same tick; any stall the batch
+        // causes is one buffer-full lump on the critical path.
+        self.obs.push_suppress();
         for &addr in &result.extra_writebacks {
             accepted = vmax(accepted, self.push_writeback(j, addr, bytes, t));
         }
+        self.obs.pop_suppress();
+        self.obs.record(Cause::BufferFull, accepted[0] - t[0]);
         accepted
     }
 
@@ -842,9 +1166,67 @@ impl<const W: usize> SweepSimW<W> {
     }
 }
 
-/// A multi-lane hierarchy simulator: the timing model of
-/// [`HierarchySim`](crate::HierarchySim) evaluated under up to
-/// [`MAX_LANES`] timing variants in a single trace pass.
+/// What the warm-up/measure loop drives: any engine instance, or the
+/// width dispatch in front of them.
+pub(crate) trait Engine {
+    /// Runs a slice of records.
+    fn run_slice(&mut self, records: &[TraceRecord]);
+    /// Starts a fresh measurement window.
+    fn reset_measurement(&mut self);
+}
+
+impl<const W: usize, O: Observer> Engine for SweepSimW<W, O> {
+    fn run_slice(&mut self, records: &[TraceRecord]) {
+        self.run_batch(records);
+    }
+
+    fn reset_measurement(&mut self) {
+        SweepSimW::reset_measurement(self);
+    }
+}
+
+/// Records the streaming drivers hand an engine at a time: enough to
+/// amortise the per-batch state copy, little enough to live on the stack.
+const FEED_BATCH: usize = 1024;
+
+/// Runs `records` through `engine` in fixed-size batches, never holding
+/// more than one batch.
+pub(crate) fn feed(engine: &mut impl Engine, records: impl Iterator<Item = TraceRecord>) {
+    let mut batch = [TraceRecord::ifetch(0); FEED_BATCH];
+    let mut len = 0;
+    for rec in records {
+        batch[len] = rec;
+        len += 1;
+        if len == FEED_BATCH {
+            engine.run_slice(&batch);
+            len = 0;
+        }
+    }
+    engine.run_slice(&batch[..len]);
+}
+
+/// The warm-up/measure loop behind every driver: runs the first `warmup`
+/// records, restarts the measurement window, then runs the rest, timing
+/// the two halves as phases `{scope}.warmup` and `{scope}.measure`.
+pub(crate) fn warm_then_measure(
+    engine: &mut impl Engine,
+    records: impl IntoIterator<Item = TraceRecord>,
+    warmup: usize,
+    metrics: &Metrics,
+    scope: &str,
+) {
+    let mut records = records.into_iter();
+    let timer = metrics.time_phase(&format!("{scope}.warmup"));
+    feed(engine, records.by_ref().take(warmup));
+    timer.stop();
+    engine.reset_measurement();
+    let timer = metrics.time_phase(&format!("{scope}.measure"));
+    feed(engine, records);
+    timer.stop();
+}
+
+/// A multi-lane hierarchy simulator: the timing model evaluated under up
+/// to [`MAX_LANES`] timing variants in a single trace pass.
 ///
 /// All variants must be *functionally identical* — same cache
 /// organisations, policies and buffer capacities — and may differ in any
@@ -888,8 +1270,8 @@ pub struct TimingSweepSim {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum SweepDispatch {
-    W2(SweepSimW<2>),
-    W12(SweepSimW<MAX_LANES>),
+    W2(SweepSimW<2, NoObserver>),
+    W12(SweepSimW<MAX_LANES, NoObserver>),
 }
 
 impl TimingSweepSim {
@@ -946,8 +1328,8 @@ impl TimingSweepSim {
     }
 
     /// Resets all statistics and starts a fresh measurement window at the
-    /// current simulated time in every lane (mirrors
-    /// `HierarchySim::reset_measurement`).
+    /// current simulated time in every lane. Cache contents, buffer
+    /// contents and all timing state are preserved.
     pub fn reset_measurement(&mut self) {
         match &mut self.inner {
             SweepDispatch::W2(sim) => sim.reset_measurement(),
@@ -964,6 +1346,16 @@ impl TimingSweepSim {
             SweepDispatch::W2(sim) => sim.results(),
             SweepDispatch::W12(sim) => sim.results(),
         }
+    }
+}
+
+impl Engine for TimingSweepSim {
+    fn run_slice(&mut self, records: &[TraceRecord]) {
+        TimingSweepSim::run_slice(self, records);
+    }
+
+    fn reset_measurement(&mut self) {
+        TimingSweepSim::reset_measurement(self);
     }
 }
 
@@ -991,14 +1383,7 @@ pub fn simulate_timing_sweep(
     for chunk in configs.chunks(MAX_LANES) {
         let mut sim = TimingSweepSim::new(chunk)?;
         metrics.add("sweep.lane_passes", 1);
-        let warm = warmup.min(records.len());
-        let timer = metrics.time_phase("sweep.warmup");
-        sim.run_slice(&records[..warm]);
-        timer.stop();
-        sim.reset_measurement();
-        let timer = metrics.time_phase("sweep.measure");
-        sim.run_slice(&records[warm..]);
-        timer.stop();
+        warm_then_measure(&mut sim, records.iter().copied(), warmup, metrics, "sweep");
         out.extend(sim.results());
     }
     Ok(out)
@@ -1007,8 +1392,8 @@ pub fn simulate_timing_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::simulate_with_warmup;
-    use crate::machine::BaseMachine;
+    use crate::hierarchy::{simulate_with_warmup, HierarchySim};
+    use crate::machine::{base_machine, BaseMachine};
     use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
 
     fn preset_trace(n: usize, seed: u64) -> Vec<TraceRecord> {
@@ -1025,14 +1410,17 @@ mod tests {
         simulate_timing_sweep(configs, trace, warmup, &Metrics::disabled()).unwrap()
     }
 
-    /// Lane 0 reproduces the scalar simulator cycle-exactly by
-    /// construction: same decisions, same order, same arithmetic.
+    /// Lane 0 of a sweep reproduces the attributing simulator
+    /// cycle-exactly: the attribution hooks never change timing.
     #[test]
     fn lane0_matches_hierarchy_sim_exactly() {
         let trace = preset_trace(40_000, 3);
         for cycles in [1u64, 3, 7] {
-            let solo =
-                simulate_with_warmup(base_at(cycles), trace.iter().copied(), 10_000).unwrap();
+            let mut sim = HierarchySim::new(base_at(cycles)).unwrap();
+            sim.run(trace[..10_000].iter().copied());
+            sim.reset_measurement();
+            sim.run(trace[10_000..].iter().copied());
+            let solo = sim.result();
             let swept = sweep(&[base_at(cycles), base_at(1)], &trace, 10_000);
             assert_eq!(swept[0], solo, "decision lane at l2_cycles={cycles}");
         }
@@ -1136,5 +1524,88 @@ mod tests {
         assert!(TimingSweepSim::new(&[]).is_err());
         let configs: Vec<_> = (0..MAX_LANES as u64 + 1).map(|_| base_at(3)).collect();
         assert!(TimingSweepSim::new(&configs).is_err());
+    }
+
+    fn bus(width_bytes: u64, cycle: [u64; 2]) -> SweepBus<2> {
+        SweepBus { width_bytes, cycle }
+    }
+
+    /// The paper's CPU–L2 bus: 16 bytes wide at the L2 rate. An L1 block
+    /// is 16 bytes, so delivering it beyond the first beat is free —
+    /// making the nominal L1 miss penalty exactly the L2 access.
+    #[test]
+    fn bus_extra_beats_follow_the_first() {
+        let b = bus(16, [3, 5]);
+        assert_eq!(b.extra_beat_ticks(16), [0, 0]);
+        assert_eq!(b.extra_beat_ticks(32), [3, 5]);
+        assert_eq!(b.extra_beat_ticks(0), [0, 0]);
+    }
+
+    #[test]
+    fn bus_data_ticks_round_up() {
+        let b = bus(16, [2, 3]);
+        assert_eq!(b.data_ticks(1), [2, 3]);
+        assert_eq!(b.data_ticks(16), [2, 3]);
+        assert_eq!(b.data_ticks(17), [4, 6]);
+        assert_eq!(b.data_ticks(0), [0, 0]);
+    }
+
+    #[test]
+    fn bus_transfer_is_address_plus_data() {
+        let b = bus(8, [5, 1]);
+        assert_eq!(b.address_ticks(), [5, 1]);
+        assert_eq!(b.transfer_ticks(16), [5 + 10, 1 + 2]);
+    }
+
+    /// The base machine: level 0 is split (its busy times live in the
+    /// CPU state during a record), level 1 unified.
+    fn base_engine() -> SweepSimW<2, NoObserver> {
+        SweepSimW::new(&[base_machine()]).unwrap()
+    }
+
+    #[test]
+    fn unified_busy_is_shared() {
+        let mut sim = base_engine();
+        let l2 = &mut sim.levels[1];
+        l2.set_busy(AccessKind::Read, [10, 12]);
+        assert_eq!(l2.busy_for(AccessKind::InstructionFetch), [10, 12]);
+        assert_eq!(l2.busy_for(AccessKind::Write), [10, 12]);
+        assert_eq!(l2.busy_any(), [10, 12]);
+    }
+
+    #[test]
+    fn split_busy_is_per_side() {
+        let mut sim = base_engine();
+        let l1 = &mut sim.levels[0];
+        l1.set_busy(AccessKind::InstructionFetch, [10, 10]);
+        l1.set_busy(AccessKind::Write, [4, 4]);
+        assert_eq!(l1.busy_for(AccessKind::InstructionFetch), [10, 10]);
+        assert_eq!(l1.busy_for(AccessKind::Read), [4, 4]);
+        assert_eq!(l1.busy_any(), [10, 10]);
+
+        let mut cpu = sim.cpu;
+        cpu.l1_set_busy(true, AccessKind::InstructionFetch, [10, 10]);
+        cpu.l1_set_busy(true, AccessKind::Write, [4, 4]);
+        assert_eq!(
+            cpu.l1_busy_for(true, AccessKind::InstructionFetch),
+            [10, 10]
+        );
+        assert_eq!(cpu.l1_busy_for(true, AccessKind::Read), [4, 4]);
+        sim.cpu = cpu;
+        assert_eq!(sim.level_busy_any(0), [10, 10]);
+    }
+
+    #[test]
+    fn busy_never_moves_backwards() {
+        let mut sim = base_engine();
+        let l2 = &mut sim.levels[1];
+        l2.set_busy(AccessKind::Read, [10, 10]);
+        l2.set_busy(AccessKind::Read, [5, 12]);
+        assert_eq!(l2.busy_for(AccessKind::Read), [10, 12]);
+
+        let mut cpu = sim.cpu;
+        cpu.l1_set_busy(false, AccessKind::Read, [10, 10]);
+        cpu.l1_set_busy(false, AccessKind::Read, [5, 12]);
+        assert_eq!(cpu.l1_busy_for(false, AccessKind::Write), [10, 12]);
     }
 }
