@@ -1,12 +1,5 @@
-//! The attributing simulator and the plain drivers.
-//!
-//! [`HierarchySim`] is one lane of the timing engine (see
-//! [`crate::sweep`] for the timing model) whose observer settles the
-//! cycle ledger, records the latency and occupancy histograms, samples
-//! events and — in `check-invariants` builds — checks the hierarchy after
-//! every record. The plain drivers [`simulate`] and
-//! [`simulate_with_warmup`] return no ledger, so they run the engine with
-//! the no-op observer.
+//! The attributing simulator and the plain drivers: both run the timing
+//! engine of [`crate::sweep`], which documents the timing model.
 
 use mlc_obs::{EventKind, EventTracer, Metrics, SimEvent};
 use mlc_trace::{AccessKind, TraceRecord};
@@ -59,7 +52,7 @@ impl HierarchySim {
 
     /// The simulator's CPU clock.
     pub fn clock(&self) -> Clock {
-        self.engine.clock()
+        self.engine.clocks[0]
     }
 
     /// Current simulated time in CPU cycles.
@@ -110,7 +103,7 @@ impl HierarchySim {
     /// The hierarchy level display names, upstream first — the labels
     /// for [`CycleLedger::rows`] and the event exports.
     pub fn level_names(&self) -> Vec<String> {
-        self.engine.level_names()
+        self.engine.levels.iter().map(|l| l.name.clone()).collect()
     }
 
     /// Attaches a sampled event tracer; subsequent records whose global
@@ -265,17 +258,40 @@ impl Attribution {
     /// full-cache sweep), and ledger conservation. Panics with the
     /// violating trace-record index and a hierarchy state summary.
     fn check<const W: usize>(&mut self, index: u64, end: &RecordEnd, levels: &[SweepLevel<W>]) {
+        let Err(msg) = self.violation(index, end, levels) else {
+            return;
+        };
+        let mut state = String::new();
+        for level in levels {
+            state.push_str(&format!(
+                "\n  {}: {}, write buffer {} queued",
+                level.name,
+                level.cache.state_summary(),
+                level.out_buffer.len(),
+            ));
+        }
+        panic!(
+            "hierarchy invariant violated at trace record {index} \
+             ({:?} {:#x}): {msg}\nhierarchy state (now = {}):{state}",
+            end.rec.kind,
+            end.rec.addr.get(),
+            end.now,
+        );
+    }
+
+    /// The first invariant the record broke, if any.
+    fn violation<const W: usize>(
+        &mut self,
+        index: u64,
+        end: &RecordEnd,
+        levels: &[SweepLevel<W>],
+    ) -> Result<(), String> {
         let rec = end.rec;
         if end.now < self.last_now {
-            invariant_violation(
-                index,
-                end,
-                levels,
-                &format!(
-                    "simulated clock moved backwards: {} -> {}",
-                    self.last_now, end.now
-                ),
-            );
+            return Err(format!(
+                "simulated clock moved backwards: {} -> {}",
+                self.last_now, end.now
+            ));
         }
         self.last_now = end.now;
 
@@ -284,67 +300,29 @@ impl Attribution {
         // are exempt: a no-write-allocate miss is forwarded downstream
         // without filling.
         if !rec.kind.is_write() && !levels[0].cache.contains_for(rec.addr, rec.kind) {
-            invariant_violation(
-                index,
-                end,
-                levels,
-                "demand block not resident at level 0 after the access",
-            );
+            return Err("demand block not resident at level 0 after the access".into());
         }
 
         let deep = index % DEEP_CHECK_PERIOD == DEEP_CHECK_PERIOD - 1;
         for level in levels {
-            let result = if deep {
+            if deep {
                 level.cache.verify_invariants()
             } else {
                 level.cache.verify_invariants_at(rec.addr, rec.kind)
-            };
-            if let Err(msg) = result {
-                invariant_violation(index, end, levels, &format!("{}: {msg}", level.name));
             }
+            .map_err(|msg| format!("{}: {msg}", level.name))?;
         }
 
         let attributed = self.ledger.total();
         if attributed != end.elapsed {
-            invariant_violation(
-                index,
-                end,
-                levels,
-                &format!(
-                    "cycle ledger broke conservation: {attributed} attributed \
-                     vs {} elapsed",
-                    end.elapsed
-                ),
-            );
+            return Err(format!(
+                "cycle ledger broke conservation: {attributed} attributed \
+                 vs {} elapsed",
+                end.elapsed
+            ));
         }
+        Ok(())
     }
-}
-
-/// Reports a runtime invariant violation: the failing trace-record
-/// index, the record itself, and each level's occupancy summary.
-#[cfg(feature = "check-invariants")]
-fn invariant_violation<const W: usize>(
-    index: u64,
-    end: &RecordEnd,
-    levels: &[SweepLevel<W>],
-    msg: &str,
-) -> ! {
-    let mut state = String::new();
-    for level in levels {
-        state.push_str(&format!(
-            "\n  {}: {}, write buffer {} queued",
-            level.name,
-            level.cache.state_summary(),
-            level.out_buffer.len(),
-        ));
-    }
-    panic!(
-        "hierarchy invariant violated at trace record {index} \
-         ({:?} {:#x}): {msg}\nhierarchy state (now = {}):{state}",
-        end.rec.kind,
-        end.rec.addr.get(),
-        end.now,
-    );
 }
 
 /// The engine behind the plain drivers. They return no ledger, so they

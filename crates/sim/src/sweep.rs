@@ -50,27 +50,17 @@
 //!
 //! The per-lane arithmetic runs over fixed-width `[u64; W]` vectors, so
 //! the compiler unrolls (and auto-vectorizes) every loop with no runtime
-//! lane bound. A second type parameter, the [`Observer`], receives lane
-//! 0's view of every record: the critical-path components, the fetch
-//! latencies, the buffer occupancies and the record's end. Three
-//! instances are compiled:
-//!
-//! * [`TimingSweepSim`] runs one or two lanes at width 2 and up to
-//!   [`MAX_LANES`] (12) at width 12, with the zero-sized no-op observer.
-//!   The paper's 10-point L2 cycle ladder fits one 12-lane pass; a
-//!   one-point job, such as a daemon request for a single cycle time or a
-//!   plain [`simulate`](crate::simulate) run, pays for 2 lanes rather
-//!   than 12. [`simulate_timing_sweep`] chunks longer ladders into
-//!   12-lane passes.
-//! * [`HierarchySim`](crate::HierarchySim) is one lane at width 1 whose
-//!   observer settles the cycle ledger, records the histograms, samples
-//!   events and, in `check-invariants` builds, checks the hierarchy after
-//!   every record.
-//!
-//! Unused tail lanes carry lane 0's timing parameters but have no main
-//! memory: `memory_read` and `write_downstream` leave their completions
-//! at 0, so their clocks mean nothing, and [`TimingSweepSim::results`]
-//! drops them.
+//! lane bound. A second type parameter, the `Observer`, sees lane 0's
+//! view of every record. [`TimingSweepSim`] runs one or two lanes at
+//! width 2 (a daemon's one-cycle job, a plain [`simulate`](crate::simulate)
+//! run) and up to [`MAX_LANES`] (12, the paper's 10-point L2 cycle
+//! ladder) at width 12, with the zero-sized no-op observer.
+//! [`HierarchySim`](crate::HierarchySim) is one lane at width 1 whose
+//! observer keeps the cycle ledger, histograms, sampled events and the
+//! `check-invariants` checker. Unused tail lanes carry lane 0's timing
+//! parameters but no main memory (`memory_read` and `write_downstream`
+//! leave their completions at 0), so their clocks mean nothing and
+//! [`TimingSweepSim::results`] drops them.
 //!
 //! # The one approximation
 //!
@@ -191,35 +181,24 @@ impl<const W: usize> SweepBus<W> {
     }
 }
 
-/// One hierarchy level: shared cache and buffer contents, per-lane timing.
-///
-/// `busy` tracks when each side of the cache becomes free. Split levels
-/// have independent instruction/data timing; unified levels keep both
-/// entries equal.
-#[derive(Debug, Clone)]
-pub(crate) struct SweepLevel<const W: usize> {
-    pub(crate) name: String,
-    pub(crate) cache: CacheUnit,
-    read_cycles: [u64; W],
-    write_cycles: [u64; W],
-    /// The bus over which this level refills from (and writes back to)
-    /// the next level down.
-    refill_bus: SweepBus<W>,
-    /// Writes from this level awaiting drain downstream; each entry's
-    /// `ready_at` is lane 0's.
-    pub(crate) out_buffer: WriteBuffer,
-    /// Per-entry per-lane ready times, parallel to `out_buffer`.
-    ready: VecDeque<[u64; W]>,
+/// When each side of a cache becomes free, per lane. Split caches have
+/// independent instruction/data sides (the base machine's L1 services an
+/// instruction fetch and a data access in the same cycle); unified caches
+/// keep both entries equal.
+#[derive(Debug, Clone, Copy)]
+struct Ports<const W: usize> {
     split: bool,
     busy: [[u64; W]; 2],
-    /// Bytes fetched into this level from downstream (demand, group,
-    /// prefetch and sub-block fills alike).
-    fetched_bytes: u64,
-    /// Bytes this level pushed downstream through its write buffer.
-    writeback_bytes: u64,
 }
 
-impl<const W: usize> SweepLevel<W> {
+impl<const W: usize> Ports<W> {
+    fn new(split: bool) -> Self {
+        Ports {
+            split,
+            busy: [splat(0); 2],
+        }
+    }
+
     #[inline(always)]
     fn busy_for(&self, kind: AccessKind) -> [u64; W] {
         if self.split {
@@ -243,7 +222,7 @@ impl<const W: usize> SweepLevel<W> {
     }
 
     /// [`Self::set_busy`] for callers that already know `t` dominates the
-    /// port's current busy time — every hit fast path computes
+    /// side's current busy time — every hit fast path computes
     /// `t = max(busy, ..) + latency` — so the max can be a plain store.
     #[inline(always)]
     fn store_busy(&mut self, kind: AccessKind, t: [u64; W]) {
@@ -263,7 +242,33 @@ impl<const W: usize> SweepLevel<W> {
     fn busy_any(&self) -> [u64; W] {
         vmax(self.busy[0], self.busy[1])
     }
+}
 
+/// One hierarchy level: shared cache and buffer contents, per-lane timing.
+#[derive(Debug, Clone)]
+pub(crate) struct SweepLevel<const W: usize> {
+    pub(crate) name: String,
+    pub(crate) cache: CacheUnit,
+    read_cycles: [u64; W],
+    write_cycles: [u64; W],
+    /// The bus over which this level refills from (and writes back to)
+    /// the next level down.
+    refill_bus: SweepBus<W>,
+    /// Writes from this level awaiting drain downstream; each entry's
+    /// `ready_at` is lane 0's.
+    pub(crate) out_buffer: WriteBuffer,
+    /// Per-entry per-lane ready times, parallel to `out_buffer`.
+    ready: VecDeque<[u64; W]>,
+    /// Busy times; level 0's live in [`CpuState::l1`] instead.
+    ports: Ports<W>,
+    /// Bytes fetched into this level from downstream (demand, group,
+    /// prefetch and sub-block fills alike).
+    fetched_bytes: u64,
+    /// Bytes this level pushed downstream through its write buffer.
+    writeback_bytes: u64,
+}
+
+impl<const W: usize> SweepLevel<W> {
     /// The block size of the side that holds dirty data (the data side
     /// of a split level).
     fn dirty_block_bytes(&self) -> u64 {
@@ -289,72 +294,25 @@ struct CpuState<const W: usize> {
     stores: u64,
     read_stall: [u64; W],
     write_stall: [u64; W],
-    /// Level-0 port busy times ([instruction, data] when split). Only
-    /// `cpu_access` reads or writes level-0 busy state during a record,
-    /// so it lives here with the clocks instead of in `SweepLevel` —
-    /// touched every record, it must stay in registers with the rest of
-    /// the chain.
-    l1_busy: [[u64; W]; 2],
-}
-
-impl<const W: usize> CpuState<W> {
-    #[inline(always)]
-    fn l1_busy_for(&self, split: bool, kind: AccessKind) -> [u64; W] {
-        if split {
-            self.l1_busy[side(kind)]
-        } else {
-            self.l1_busy[0]
-        }
-    }
-
-    #[inline(always)]
-    fn l1_set_busy(&mut self, split: bool, kind: AccessKind, t: [u64; W]) {
-        if split {
-            let s = side(kind);
-            self.l1_busy[s] = vmax(self.l1_busy[s], t);
-        } else {
-            self.l1_busy[0] = vmax(self.l1_busy[0], t);
-            self.l1_busy[1] = self.l1_busy[0];
-        }
-    }
-
-    /// [`Self::l1_set_busy`] when `t` already dominates the port's busy
-    /// time (the hit fast path computes `t = max(busy, ..) + latency`).
-    #[inline(always)]
-    fn l1_store_busy(&mut self, split: bool, kind: AccessKind, t: [u64; W]) {
-        debug_assert!(
-            self.l1_busy_for(split, kind)
-                .iter()
-                .zip(&t)
-                .all(|(b, t)| t >= b),
-            "l1_store_busy requires t >= current busy"
-        );
-        if split {
-            self.l1_busy[side(kind)] = t;
-        } else {
-            self.l1_busy[0] = t;
-            self.l1_busy[1] = t;
-        }
-    }
+    /// Level 0's busy times. Only `cpu_access` reads or writes them
+    /// during a record, so they live here with the clocks instead of in
+    /// `SweepLevel` — touched every record, they must stay in registers
+    /// with the rest of the chain.
+    l1: Ports<W>,
 }
 
 /// Lane 0's account of one finished record, handed to
-/// [`Observer::end`].
+/// [`Observer::end`]: the cycle `rec` issued in, its base execute cycle
+/// (1 when it opened a cycle, 0 when it shared one), the `stall` making
+/// up the rest of the clock's advance, the clock after it, and (for the
+/// conservation check) the cycles since the measurement window opened.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RecordEnd {
-    /// The record.
     pub(crate) rec: TraceRecord,
-    /// The cycle it issued in.
     pub(crate) issue: u64,
-    /// Its base execute cycle: 1 when it opened a cycle, 0 when it
-    /// shared one.
     pub(crate) exec: u64,
-    /// Everything else the clock advanced during the record.
     pub(crate) stall: u64,
-    /// The clock after the record.
     pub(crate) now: u64,
-    /// Cycles since the measurement window opened (read only by the
-    /// `check-invariants` conservation check).
     #[cfg(feature = "check-invariants")]
     pub(crate) elapsed: u64,
 }
@@ -367,44 +325,34 @@ pub(crate) trait Observer {
     fn new(depth: usize) -> Self;
 
     /// A record is about to be walked.
-    #[inline(always)]
     fn begin(&mut self) {}
 
     /// The critical path reached hierarchy element `element`: a level
     /// index, or the level count for main memory.
-    #[inline(always)]
     fn touch(&mut self, _element: usize) {}
 
     /// `ticks` of the critical path were spent on `cause`.
-    #[inline(always)]
     fn record(&mut self, _cause: Cause, _ticks: u64) {}
 
     /// Enters work that is off the requester's critical path.
-    #[inline(always)]
     fn push_suppress(&mut self) {}
 
     /// Leaves the matching [`Self::push_suppress`] region.
-    #[inline(always)]
     fn pop_suppress(&mut self) {}
 
     /// Level 0 missed (or victim-hit) on a read or instruction fetch.
-    #[inline(always)]
     fn l0_read_miss(&mut self) {}
 
     /// A fetch issued by level `level` returned after `ticks`.
-    #[inline(always)]
     fn fetch_latency(&mut self, _level: usize, _kind: AccessKind, _ticks: u64) {}
 
     /// A write buffer accepted an entry and now holds `len`.
-    #[inline(always)]
     fn buffered(&mut self, _len: usize) {}
 
     /// The record is done; `levels` is the hierarchy after it.
-    #[inline(always)]
     fn end<const W: usize>(&mut self, _end: RecordEnd, _levels: &[SweepLevel<W>]) {}
 
     /// The measurement window restarted.
-    #[inline(always)]
     fn reset(&mut self) {}
 }
 
@@ -424,14 +372,11 @@ impl Observer for NoObserver {
 #[derive(Debug, Clone)]
 pub(crate) struct SweepSimW<const W: usize, O> {
     lanes: usize,
-    clocks: Vec<Clock>,
-    levels: Vec<SweepLevel<W>>,
+    pub(crate) clocks: Vec<Clock>,
+    pub(crate) levels: Vec<SweepLevel<W>>,
     /// One main memory per lane (index < `lanes`): busy state and
     /// refresh-gap waits are timing-dependent.
     memories: Vec<MainMemory>,
-    /// Whether level 0 has split instruction/data ports (cached off
-    /// `levels[0]` for the per-record busy bookkeeping in `CpuState`).
-    l1_split: bool,
     cpu: CpuState<W>,
     measure_start: [u64; W],
     pub(crate) obs: O,
@@ -458,20 +403,18 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
                 )));
             }
             for (i, (a, b)) in config.levels.iter().zip(first.levels.iter()).enumerate() {
-                if a.cache != b.cache {
+                let differs = [
+                    ("cache organisation", a.cache != b.cache),
+                    (
+                        "write_buffer_entries",
+                        a.write_buffer_entries != b.write_buffer_entries,
+                    ),
+                    ("refill_bus_bytes", a.refill_bus_bytes != b.refill_bus_bytes),
+                ];
+                if let Some((what, _)) = differs.iter().find(|(_, d)| *d) {
                     return Err(SimConfigError::new(format!(
-                        "lane {l} level {i}: cache organisation differs from lane 0 \
+                        "lane {l} level {i}: {what} differs from lane 0 \
                          (a timing sweep varies only timing)"
-                    )));
-                }
-                if a.write_buffer_entries != b.write_buffer_entries {
-                    return Err(SimConfigError::new(format!(
-                        "lane {l} level {i}: write_buffer_entries differs from lane 0"
-                    )));
-                }
-                if a.refill_bus_bytes != b.refill_bus_bytes {
-                    return Err(SimConfigError::new(format!(
-                        "lane {l} level {i}: refill_bus_bytes differs from lane 0"
                     )));
                 }
             }
@@ -494,7 +437,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
                 LevelCacheConfig::Unified(c) => CacheUnit::unified(c),
                 LevelCacheConfig::Split { icache, dcache } => CacheUnit::split(icache, dcache),
             };
-            let split = matches!(cache, CacheUnit::Split(_));
+            let ports = Ports::new(matches!(cache, CacheUnit::Split(_)));
             levels.push(SweepLevel {
                 name: lc.name.clone(),
                 cache,
@@ -506,8 +449,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
                 },
                 out_buffer: WriteBuffer::new(lc.write_buffer_entries),
                 ready: VecDeque::new(),
-                split,
-                busy: [splat(0); 2],
+                ports,
                 fetched_bytes: 0,
                 writeback_bytes: 0,
             });
@@ -523,14 +465,10 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
                 ))
             })
             .collect();
-        let l1_split = levels[0].split;
         Ok(SweepSimW {
             lanes,
             clocks,
             obs: O::new(levels.len()),
-            levels,
-            memories,
-            l1_split,
             cpu: CpuState {
                 now: splat(0),
                 cycle_issue: splat(0),
@@ -540,25 +478,17 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
                 stores: 0,
                 read_stall: splat(0),
                 write_stall: splat(0),
-                l1_busy: [splat(0); 2],
+                l1: levels[0].ports,
             },
+            levels,
+            memories,
             measure_start: splat(0),
         })
-    }
-
-    /// Lane 0's CPU clock.
-    pub(crate) fn clock(&self) -> Clock {
-        self.clocks[0]
     }
 
     /// Lane 0's simulated time in CPU cycles.
     pub(crate) fn now(&self) -> u64 {
         self.cpu.now[0]
-    }
-
-    /// The level display names, upstream first.
-    pub(crate) fn level_names(&self) -> Vec<String> {
-        self.levels.iter().map(|l| l.name.clone()).collect()
     }
 
     /// Processes a single trace record against an explicit CPU state.
@@ -688,9 +618,9 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
     /// live in the CPU state).
     fn level_busy_any(&self, j: usize) -> [u64; W] {
         if j == 0 {
-            vmax(self.cpu.l1_busy[0], self.cpu.l1_busy[1])
+            self.cpu.l1.busy_any()
         } else {
-            self.levels[j].busy_any()
+            self.levels[j].ports.busy_any()
         }
     }
 
@@ -727,11 +657,10 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
 
     fn cpu_access(&mut self, rec: TraceRecord, t: [u64; W], st: &mut CpuState<W>) -> [u64; W] {
         let kind = rec.kind;
-        let split = self.l1_split;
         // Hit fast path: identical outcome to the full access below, but
         // skips building an `AccessResult` for the common case.
         if let Some(write_through) = self.levels[0].cache.access_hit(rec.addr, kind) {
-            let start = vmax(t, st.l1_busy_for(split, kind));
+            let start = vmax(t, st.l1.busy_for(kind));
             let dur = if kind.is_write() {
                 self.levels[0].write_cycles
             } else {
@@ -739,7 +668,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
             };
             let mut done = vadd(start, dur);
             self.obs.record(Cause::Level(0), done[0] - t[0]);
-            st.l1_store_busy(split, kind, done);
+            st.l1.store_busy(kind, done);
             if write_through {
                 let accepted = self.push_writeback(0, rec.addr, 4, done);
                 done = vmax(done, accepted);
@@ -748,7 +677,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
         }
 
         let result = self.levels[0].cache.access(rec.addr, kind);
-        let start = vmax(t, st.l1_busy_for(split, kind));
+        let start = vmax(t, st.l1.busy_for(kind));
         debug_assert!(!result.hit, "access_hit covers every plain hit");
         if !kind.is_write() {
             self.obs.l0_read_miss();
@@ -767,7 +696,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
                 done = vadd(done, self.levels[0].write_cycles);
             }
             self.obs.record(Cause::Level(0), done[0] - t[0]);
-            st.l1_set_busy(split, kind, done);
+            st.l1.set_busy(kind, done);
             done = vmax(done, self.push_extra_writebacks(0, &result, done));
             if result.write_through {
                 let accepted = self.push_writeback(0, rec.addr, 4, done);
@@ -782,7 +711,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
             // write-through; reads always allocate and therefore fill.
             debug_assert!(result.write_through, "read misses always fill");
             self.obs.record(Cause::Level(0), detected[0] - t[0]);
-            st.l1_set_busy(split, kind, detected);
+            st.l1.set_busy(kind, detected);
             let accepted = self.push_writeback(0, rec.addr, 4, detected);
             return vmax(detected, accepted);
         }
@@ -794,7 +723,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
             completion,
             self.push_extra_writebacks(0, &result, completion),
         );
-        st.l1_set_busy(split, kind, chain);
+        st.l1.set_busy(kind, chain);
 
         if kind.is_write() {
             if result.write_through {
@@ -806,7 +735,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
                 let write = self.levels[0].write_cycles;
                 completion = vadd(completion, write);
                 self.obs.record(Cause::Level(0), write[0]);
-                st.l1_set_busy(split, kind, completion);
+                st.l1.set_busy(kind, completion);
             }
         }
         completion
@@ -868,18 +797,25 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
         addr: Address,
         kind: AccessKind,
         need_bytes: u64,
-        t: [u64; W],
+        issued: [u64; W],
     ) -> [u64; W] {
+        // Give queued writes from upstream their idle window first, and
+        // resolve any read-after-write hazard: if the requested block is
+        // still sitting in the upstream write buffer, it must be written
+        // down before the read may observe the level below.
+        self.drain_ready_before(idx - 1, issued);
+        let t = self.resolve_raw_hazard(idx - 1, addr, need_bytes, issued);
+        self.obs.touch(idx);
         let done = if idx == self.levels.len() {
-            self.memory_read(addr, need_bytes, t)
+            self.memory_read(need_bytes, t)
         } else {
             self.read_level(idx, addr, kind, need_bytes, t)
         };
-        self.obs.fetch_latency(idx - 1, kind, done[0] - t[0]);
+        self.obs.fetch_latency(idx - 1, kind, done[0] - issued[0]);
         done
     }
 
-    /// [`Self::fetch_block`] from cache level `idx`.
+    /// [`Self::fetch_block`] from cache level `idx`, hazards resolved.
     fn read_level(
         &mut self,
         idx: usize,
@@ -888,29 +824,21 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
         need_bytes: u64,
         t: [u64; W],
     ) -> [u64; W] {
-        // Give queued writes from upstream their idle window first, and
-        // resolve any read-after-write hazard: if the requested block is
-        // still sitting in the upstream write buffer, it must be written
-        // down before the read may observe this level.
-        self.drain_ready_before(idx - 1, t);
-        let t = self.resolve_raw_hazard(idx - 1, addr, need_bytes, t);
-        self.obs.touch(idx);
-
         let extra = self.levels[idx - 1].refill_bus.extra_beat_ticks(need_bytes);
         // Hit fast path; a downstream read hit never forwards store data,
         // so the write-through flag is irrelevant here (as in the full
         // path, which ignores it on hits).
         if self.levels[idx].cache.access_hit(addr, kind).is_some() {
-            let start = vmax(t, self.levels[idx].busy_for(kind));
+            let start = vmax(t, self.levels[idx].ports.busy_for(kind));
             let done = vadd(start, self.levels[idx].read_cycles);
-            self.levels[idx].store_busy(kind, done);
+            self.levels[idx].ports.store_busy(kind, done);
             let ret = vadd(done, extra);
             self.obs.record(Cause::Level(idx), ret[0] - t[0]);
             return ret;
         }
 
         let result = self.levels[idx].cache.access(addr, kind);
-        let start = vmax(t, self.levels[idx].busy_for(kind));
+        let start = vmax(t, self.levels[idx].ports.busy_for(kind));
         debug_assert!(!result.hit, "access_hit covers every plain hit");
 
         // Tag check at this level (n_L2 in Equation 1) precedes the
@@ -923,7 +851,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
             let mut done = vadd(detected, self.levels[idx].read_cycles);
             self.obs
                 .record(Cause::Level(idx), done[0] + extra[0] - t[0]);
-            self.levels[idx].set_busy(kind, done);
+            self.levels[idx].ports.set_busy(kind, done);
             done = vmax(done, self.push_extra_writebacks(idx, &result, done));
             return vadd(done, extra);
         }
@@ -935,19 +863,17 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
             completion,
             self.push_extra_writebacks(idx, &result, completion),
         );
-        self.levels[idx].set_busy(kind, chain);
+        self.levels[idx].ports.set_busy(kind, chain);
         self.obs.record(Cause::Level(idx), extra[0]);
         vadd(completion, extra)
     }
 
-    /// A main-memory block read issued at `t` over the deepest level's
-    /// refill bus (the backplane): one address cycle, the memory
-    /// operation (including any refresh-gap wait), then the data beats.
-    fn memory_read(&mut self, addr: Address, need_bytes: u64, t: [u64; W]) -> [u64; W] {
-        let depth = self.levels.len();
-        self.drain_ready_before(depth - 1, t);
-        let t = self.resolve_raw_hazard(depth - 1, addr, need_bytes, t);
-        let bus = self.levels[depth - 1].refill_bus;
+    /// A main-memory block read at `t`, hazards resolved, over the
+    /// deepest level's refill bus (the backplane): one address cycle, the
+    /// memory operation (including any refresh-gap wait), then the data
+    /// beats.
+    fn memory_read(&mut self, need_bytes: u64, t: [u64; W]) -> [u64; W] {
+        let bus = self.levels[self.levels.len() - 1].refill_bus;
         let arrival = vadd(t, bus.address_ticks());
         let data = bus.data_ticks(need_bytes);
         let mut out = splat(0);
@@ -962,7 +888,6 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
         // Address cycles, then the wait for the memory to free up (busy
         // serialisation + refresh gap), then the operation and data beats
         // — in temporal order for the ledger's front-drop reconciliation.
-        self.obs.touch(depth);
         self.obs.record(Cause::Memory, arrival[0] - t[0]);
         self.obs.record(Cause::Refresh, op_start - arrival[0]);
         self.obs.record(Cause::Memory, out[0] - op_start);
@@ -1040,7 +965,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
             let downstream_free = if j + 1 == self.levels.len() {
                 self.memory_busy_until()
             } else {
-                self.levels[j + 1].busy_any()
+                self.levels[j + 1].ports.busy_any()
             };
             let would_start = vmax(ready, downstream_free);
             if would_start[0] >= t[0] {
@@ -1096,18 +1021,26 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
             .cache
             .access_hit(addr, AccessKind::Write)
         {
-            let wstart = vmax(arrival, self.levels[target].busy_for(AccessKind::Write));
+            let wstart = vmax(
+                arrival,
+                self.levels[target].ports.busy_for(AccessKind::Write),
+            );
             let mut done = vadd(wstart, self.levels[target].write_cycles);
             if write_through {
                 let accepted = self.push_writeback(target, addr, bytes, done);
                 done = vmax(done, accepted);
             }
-            self.levels[target].store_busy(AccessKind::Write, done);
+            self.levels[target]
+                .ports
+                .store_busy(AccessKind::Write, done);
             return done;
         }
 
         let result = self.levels[target].cache.access(addr, AccessKind::Write);
-        let wstart = vmax(arrival, self.levels[target].busy_for(AccessKind::Write));
+        let wstart = vmax(
+            arrival,
+            self.levels[target].ports.busy_for(AccessKind::Write),
+        );
         debug_assert!(!result.hit, "access_hit covers every plain hit");
 
         let mut done = if result.victim_hit {
@@ -1134,7 +1067,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
             done = vmax(done, accepted);
         }
         done = vmax(done, self.push_extra_writebacks(target, &result, done));
-        self.levels[target].set_busy(AccessKind::Write, done);
+        self.levels[target].ports.set_busy(AccessKind::Write, done);
         done
     }
 
@@ -1166,50 +1099,34 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
     }
 }
 
-/// What the warm-up/measure loop drives: any engine instance, or the
-/// width dispatch in front of them.
-pub(crate) trait Engine {
-    /// Runs a slice of records.
-    fn run_slice(&mut self, records: &[TraceRecord]);
-    /// Starts a fresh measurement window.
-    fn reset_measurement(&mut self);
-}
-
-impl<const W: usize, O: Observer> Engine for SweepSimW<W, O> {
-    fn run_slice(&mut self, records: &[TraceRecord]) {
-        self.run_batch(records);
-    }
-
-    fn reset_measurement(&mut self) {
-        SweepSimW::reset_measurement(self);
-    }
-}
-
 /// Records the streaming drivers hand an engine at a time: enough to
 /// amortise the per-batch state copy, little enough to live on the stack.
 const FEED_BATCH: usize = 1024;
 
 /// Runs `records` through `engine` in fixed-size batches, never holding
 /// more than one batch.
-pub(crate) fn feed(engine: &mut impl Engine, records: impl Iterator<Item = TraceRecord>) {
+pub(crate) fn feed<const W: usize, O: Observer>(
+    engine: &mut SweepSimW<W, O>,
+    records: impl Iterator<Item = TraceRecord>,
+) {
     let mut batch = [TraceRecord::ifetch(0); FEED_BATCH];
     let mut len = 0;
     for rec in records {
         batch[len] = rec;
         len += 1;
         if len == FEED_BATCH {
-            engine.run_slice(&batch);
+            engine.run_batch(&batch);
             len = 0;
         }
     }
-    engine.run_slice(&batch[..len]);
+    engine.run_batch(&batch[..len]);
 }
 
 /// The warm-up/measure loop behind every driver: runs the first `warmup`
 /// records, restarts the measurement window, then runs the rest, timing
 /// the two halves as phases `{scope}.warmup` and `{scope}.measure`.
-pub(crate) fn warm_then_measure(
-    engine: &mut impl Engine,
+pub(crate) fn warm_then_measure<const W: usize, O: Observer>(
+    engine: &mut SweepSimW<W, O>,
     records: impl IntoIterator<Item = TraceRecord>,
     warmup: usize,
     metrics: &Metrics,
@@ -1349,16 +1266,6 @@ impl TimingSweepSim {
     }
 }
 
-impl Engine for TimingSweepSim {
-    fn run_slice(&mut self, records: &[TraceRecord]) {
-        TimingSweepSim::run_slice(self, records);
-    }
-
-    fn reset_measurement(&mut self) {
-        TimingSweepSim::reset_measurement(self);
-    }
-}
-
 /// Runs `records` through a timing sweep over `configs`, discarding the
 /// first `warmup` records from the statistics, and returns one
 /// [`SimResult`] per configuration (in order). Lists longer than
@@ -1383,7 +1290,11 @@ pub fn simulate_timing_sweep(
     for chunk in configs.chunks(MAX_LANES) {
         let mut sim = TimingSweepSim::new(chunk)?;
         metrics.add("sweep.lane_passes", 1);
-        warm_then_measure(&mut sim, records.iter().copied(), warmup, metrics, "sweep");
+        let records = records.iter().copied();
+        match &mut sim.inner {
+            SweepDispatch::W2(e) => warm_then_measure(e, records, warmup, metrics, "sweep"),
+            SweepDispatch::W12(e) => warm_then_measure(e, records, warmup, metrics, "sweep"),
+        }
         out.extend(sim.results());
     }
     Ok(out)
@@ -1558,7 +1469,7 @@ mod tests {
     }
 
     /// The base machine: level 0 is split (its busy times live in the
-    /// CPU state during a record), level 1 unified.
+    /// CPU state), level 1 unified.
     fn base_engine() -> SweepSimW<2, NoObserver> {
         SweepSimW::new(&[base_machine()]).unwrap()
     }
@@ -1566,46 +1477,30 @@ mod tests {
     #[test]
     fn unified_busy_is_shared() {
         let mut sim = base_engine();
-        let l2 = &mut sim.levels[1];
+        let l2 = &mut sim.levels[1].ports;
         l2.set_busy(AccessKind::Read, [10, 12]);
         assert_eq!(l2.busy_for(AccessKind::InstructionFetch), [10, 12]);
         assert_eq!(l2.busy_for(AccessKind::Write), [10, 12]);
         assert_eq!(l2.busy_any(), [10, 12]);
+        assert_eq!(sim.level_busy_any(1), [10, 12]);
     }
 
     #[test]
     fn split_busy_is_per_side() {
         let mut sim = base_engine();
-        let l1 = &mut sim.levels[0];
+        let l1 = &mut sim.cpu.l1;
         l1.set_busy(AccessKind::InstructionFetch, [10, 10]);
         l1.set_busy(AccessKind::Write, [4, 4]);
         assert_eq!(l1.busy_for(AccessKind::InstructionFetch), [10, 10]);
         assert_eq!(l1.busy_for(AccessKind::Read), [4, 4]);
-        assert_eq!(l1.busy_any(), [10, 10]);
-
-        let mut cpu = sim.cpu;
-        cpu.l1_set_busy(true, AccessKind::InstructionFetch, [10, 10]);
-        cpu.l1_set_busy(true, AccessKind::Write, [4, 4]);
-        assert_eq!(
-            cpu.l1_busy_for(true, AccessKind::InstructionFetch),
-            [10, 10]
-        );
-        assert_eq!(cpu.l1_busy_for(true, AccessKind::Read), [4, 4]);
-        sim.cpu = cpu;
         assert_eq!(sim.level_busy_any(0), [10, 10]);
     }
 
     #[test]
     fn busy_never_moves_backwards() {
-        let mut sim = base_engine();
-        let l2 = &mut sim.levels[1];
-        l2.set_busy(AccessKind::Read, [10, 10]);
-        l2.set_busy(AccessKind::Read, [5, 12]);
-        assert_eq!(l2.busy_for(AccessKind::Read), [10, 12]);
-
-        let mut cpu = sim.cpu;
-        cpu.l1_set_busy(false, AccessKind::Read, [10, 10]);
-        cpu.l1_set_busy(false, AccessKind::Read, [5, 12]);
-        assert_eq!(cpu.l1_busy_for(false, AccessKind::Write), [10, 12]);
+        let mut ports = Ports::<2>::new(false);
+        ports.set_busy(AccessKind::Read, [10, 10]);
+        ports.set_busy(AccessKind::Read, [5, 12]);
+        assert_eq!(ports.busy_for(AccessKind::Write), [10, 12]);
     }
 }
