@@ -5,6 +5,7 @@ use mlc_obs::{EventKind, EventTracer, Metrics, SimEvent};
 use mlc_trace::{AccessKind, TraceRecord};
 
 use crate::clock::Clock;
+// The unit tests reach it through `use super::*`.
 #[cfg(test)]
 use crate::config::LevelCacheConfig;
 use crate::config::{HierarchyConfig, SimConfigError};

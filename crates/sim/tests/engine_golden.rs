@@ -4,8 +4,9 @@
 //! `HierarchySim` with a sampling tracer attached, a mid-trace
 //! measurement reset, and a final `flush_all`. Each case pins four
 //! digests: the `SimResult`, the `CycleLedger` rows, every histogram's
-//! count/sum/max, and the sampled events. The values were produced by the
-//! hand-written reference timing walk; any change to the cycle
+//! count/sum/max, and the sampled events. The values were recorded from
+//! the simulator's original, separately written timing walk, so they
+//! check that the shared engine reproduces it; any change to the cycle
 //! arithmetic, the attribution hooks or the event sampling shows up here.
 //!
 //! On a mismatch the failure message prints the whole table as computed,
