@@ -358,7 +358,7 @@ pub(crate) trait Observer {
 
 /// The observer of the sweeps and the plain drivers: it takes no space
 /// and every hook is empty.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct NoObserver;
 
 impl Observer for NoObserver {
