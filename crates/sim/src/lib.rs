@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod bus;
 mod clock;
 mod config;
 mod hierarchy;

@@ -82,6 +82,7 @@ use mlc_mem::{BufferedWrite, MainMemory, MemOpKind, MemoryTiming, WriteBuffer};
 use mlc_obs::Metrics;
 use mlc_trace::{AccessKind, Address, TraceRecord};
 
+use crate::bus::SweepBus;
 use crate::clock::Clock;
 use crate::config::{HierarchyConfig, LevelCacheConfig, SimConfigError};
 use crate::ledger::Cause;
@@ -134,51 +135,6 @@ fn vstall<const W: usize>(acc: &mut [u64; W], a: [u64; W], b: [u64; W]) {
 #[inline(always)]
 fn side(kind: AccessKind) -> usize {
     usize::from(kind.is_data())
-}
-
-/// Per-lane bus timing: fixed width, per-lane cycle time. A transfer
-/// costs one bus cycle for the address plus ⌈bytes / width⌉ cycles of
-/// data.
-#[derive(Debug, Clone, Copy)]
-struct SweepBus<const W: usize> {
-    width_bytes: u64,
-    cycle: [u64; W],
-}
-
-impl<const W: usize> SweepBus<W> {
-    #[inline(always)]
-    fn address_ticks(&self) -> [u64; W] {
-        self.cycle
-    }
-
-    #[inline(always)]
-    fn data_ticks(&self, bytes: u64) -> [u64; W] {
-        let beats = bytes.div_ceil(self.width_bytes);
-        let mut out = self.cycle;
-        for o in out.iter_mut() {
-            *o *= beats;
-        }
-        out
-    }
-
-    /// Data ticks *beyond the first beat*: a cache access time already
-    /// covers delivery of the first bus-width beat (an L1 miss that hits
-    /// in L2 costs exactly one L2 cycle when the L1 block equals the bus
-    /// width), so only the remaining beats add latency.
-    #[inline(always)]
-    fn extra_beat_ticks(&self, bytes: u64) -> [u64; W] {
-        let beats = bytes.div_ceil(self.width_bytes).saturating_sub(1);
-        let mut out = self.cycle;
-        for o in out.iter_mut() {
-            *o *= beats;
-        }
-        out
-    }
-
-    #[inline(always)]
-    fn transfer_ticks(&self, bytes: u64) -> [u64; W] {
-        vadd(self.address_ticks(), self.data_ticks(bytes))
-    }
 }
 
 /// When each side of a cache becomes free, per lane. Split caches have
@@ -443,10 +399,10 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
                 cache,
                 read_cycles: per_lane(&|l| configs[l].levels[i].read_cycles),
                 write_cycles: per_lane(&|l| configs[l].levels[i].write_cycles),
-                refill_bus: SweepBus {
-                    width_bytes: lc.refill_bus_bytes,
-                    cycle: per_lane(&|l| configs[l].refill_bus_cycles(i)),
-                },
+                refill_bus: SweepBus::new(
+                    lc.refill_bus_bytes,
+                    per_lane(&|l| configs[l].refill_bus_cycles(i)),
+                ),
                 out_buffer: WriteBuffer::new(lc.write_buffer_entries),
                 ready: VecDeque::new(),
                 ports,
@@ -1435,37 +1391,6 @@ mod tests {
         assert!(TimingSweepSim::new(&[]).is_err());
         let configs: Vec<_> = (0..MAX_LANES as u64 + 1).map(|_| base_at(3)).collect();
         assert!(TimingSweepSim::new(&configs).is_err());
-    }
-
-    fn bus(width_bytes: u64, cycle: [u64; 2]) -> SweepBus<2> {
-        SweepBus { width_bytes, cycle }
-    }
-
-    /// The paper's CPU–L2 bus: 16 bytes wide at the L2 rate. An L1 block
-    /// is 16 bytes, so delivering it beyond the first beat is free —
-    /// making the nominal L1 miss penalty exactly the L2 access.
-    #[test]
-    fn bus_extra_beats_follow_the_first() {
-        let b = bus(16, [3, 5]);
-        assert_eq!(b.extra_beat_ticks(16), [0, 0]);
-        assert_eq!(b.extra_beat_ticks(32), [3, 5]);
-        assert_eq!(b.extra_beat_ticks(0), [0, 0]);
-    }
-
-    #[test]
-    fn bus_data_ticks_round_up() {
-        let b = bus(16, [2, 3]);
-        assert_eq!(b.data_ticks(1), [2, 3]);
-        assert_eq!(b.data_ticks(16), [2, 3]);
-        assert_eq!(b.data_ticks(17), [4, 6]);
-        assert_eq!(b.data_ticks(0), [0, 0]);
-    }
-
-    #[test]
-    fn bus_transfer_is_address_plus_data() {
-        let b = bus(8, [5, 1]);
-        assert_eq!(b.address_ticks(), [5, 1]);
-        assert_eq!(b.transfer_ticks(16), [5 + 10, 1 + 2]);
     }
 
     /// The base machine: level 0 is split (its busy times live in the
