@@ -26,6 +26,12 @@ cargo clippy --workspace --all-targets --offline \
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
+# perfbench is a workspace of its own that builds against the crates'
+# public API; --locked fails if a workspace change would rewrite its
+# lockfile.
+echo "==> perfbench build (--locked)"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

@@ -13,7 +13,7 @@ use mlc_cli::args::{parse_size, parse_size_range, Args, Flag};
 use mlc_cli::obs::{obs_flags, Observability};
 use mlc_core::{classify_misses, AttributionReport, PowerLawMissModel, Table};
 use mlc_obs::json::JsonValue;
-use mlc_obs::{digest_records_hex, RunManifest};
+use mlc_obs::RunManifest;
 use mlc_trace::stackdist::lru_stack_distances;
 use mlc_trace::TraceStats;
 
@@ -71,40 +71,17 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let block = parse_size(args.get("block").unwrap_or("32"))?;
     let sizes = parse_size_range(args.get("sizes").unwrap_or("4K:4M"))?;
 
-    let fault_policy = mlc_cli::parse_trace_faults(&args)?;
     let obs = Observability::from_args(&args)?;
-
-    eprintln!("reading {} …", trace_path.display());
-    let timer = obs.metrics.time_phase("read_trace");
-    let (records, ingest, sidecar) = mlc_cli::read_trace_file_with(&trace_path, fault_policy)?;
-    timer.stop();
-    if let Some(warning) = mlc_cli::ingest_warning(&ingest, sidecar.as_deref(), None) {
-        eprintln!("{warning}");
-    }
-    obs.metrics.add("trace.quarantined", ingest.quarantined);
-    if records.is_empty() {
-        return Err("trace is empty".into());
-    }
 
     let mut manifest = RunManifest::new("mlc-analyze", env!("CARGO_PKG_VERSION"));
     manifest.command(std::env::args().skip(1));
-    if obs.metrics.is_enabled() {
-        let timer = obs.metrics.time_phase("digest_trace");
-        let digest = digest_records_hex(&records);
-        timer.stop();
-        manifest.trace(
-            &trace_path.display().to_string(),
-            records.len() as u64,
-            0,
-            &digest,
-        );
+    eprintln!("reading {} …", trace_path.display());
+    let records =
+        mlc_cli::ingest_trace(&args, &trace_path, 0.0, false, &obs, &mut manifest)?.records;
+    if records.is_empty() {
+        return Err("trace is empty".into());
     }
     manifest.param("block_bytes", block);
-    manifest.param(
-        "trace_faults",
-        args.get("trace-faults").unwrap_or("fail").to_string(),
-    );
-    manifest.param("trace_quarantined", ingest.quarantined);
     manifest.param(
         "sizes",
         JsonValue::Array(

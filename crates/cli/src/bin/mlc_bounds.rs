@@ -19,7 +19,7 @@ use mlc_check::SourceMap;
 use mlc_cli::args::{Args, Flag};
 use mlc_cli::obs::{obs_flags, Observability};
 use mlc_obs::json::JsonValue;
-use mlc_obs::{digest_records_hex, RunManifest};
+use mlc_obs::RunManifest;
 use mlc_wcet::analyze;
 
 fn flags() -> Vec<Flag> {
@@ -61,7 +61,6 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
     if format != "human" && format != "json" {
         return Err(format!("unknown format {format:?} (expected human or json)").into());
     }
-    let fault_policy = mlc_cli::parse_trace_faults(&args)?;
     let obs = Observability::from_args(&args)?;
 
     let (config, map) = match args.get("machine") {
@@ -74,27 +73,13 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
         None => (mlc_sim::machine::base_machine(), SourceMap::new()),
     };
 
-    eprintln!("reading {} …", trace_path.display());
-    let timer = obs.metrics.time_phase("read_trace");
-    let (records, ingest, sidecar) = mlc_cli::read_trace_file_with(&trace_path, fault_policy)?;
-    timer.stop();
-    if let Some(warning) = mlc_cli::ingest_warning(&ingest, sidecar.as_deref(), None) {
-        eprintln!("{warning}");
-    }
-    if records.is_empty() {
-        return Err("trace is empty".into());
-    }
-
     let mut manifest = RunManifest::new("mlc-bounds", env!("CARGO_PKG_VERSION"));
     manifest.command(std::env::args().skip(1));
-    if obs.metrics.is_enabled() {
-        let digest = digest_records_hex(&records);
-        manifest.trace(
-            &trace_path.display().to_string(),
-            records.len() as u64,
-            0,
-            &digest,
-        );
+    eprintln!("reading {} …", trace_path.display());
+    let records =
+        mlc_cli::ingest_trace(&args, &trace_path, 0.0, false, &obs, &mut manifest)?.records;
+    if records.is_empty() {
+        return Err("trace is empty".into());
     }
     manifest.param("machine_depth", config.depth() as u64);
 

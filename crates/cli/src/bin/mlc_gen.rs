@@ -8,9 +8,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mlc_cli::args::{Args, Flag};
-use mlc_cli::write_trace_file;
 use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
-use mlc_trace::TraceStats;
+use mlc_trace::{write_trace_file, TraceStats};
 
 fn flags() -> Vec<Flag> {
     vec![

@@ -11,8 +11,9 @@ use std::process::ExitCode;
 use mlc_cli::args::{Args, Flag};
 use mlc_cli::machine_file;
 use mlc_cli::obs::{event_flags, obs_flags, EventSink, Observability};
+use mlc_cli::IngestedTrace;
 use mlc_core::{fmt_ratio, AttributionReport, Table};
-use mlc_obs::{digest_records_hex, RunManifest};
+use mlc_obs::RunManifest;
 use mlc_sim::{simulate_with_warmup_attributed, HierarchyConfig};
 
 fn flags() -> Vec<Flag> {
@@ -91,45 +92,24 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
     let warmup_frac: f64 = args.get_or("warmup-frac", 0.25)?;
-    let fault_policy = mlc_cli::parse_trace_faults(&args)?;
     let obs = Observability::from_args(&args)?;
     let events = EventSink::from_args(&args)?;
 
+    let mut manifest = RunManifest::new("mlc-run", env!("CARGO_PKG_VERSION"));
+    manifest.command(std::env::args().skip(1));
     eprintln!("reading {} …", trace_path.display());
-    let timer = obs.metrics.time_phase("read_trace");
-    let (trace, ingest, sidecar) = mlc_cli::read_trace_file_with(&trace_path, fault_policy)?;
-    timer.stop();
-    if let Some(warning) = mlc_cli::ingest_warning(&ingest, sidecar.as_deref(), None) {
-        eprintln!("{warning}");
-    }
-    obs.metrics.add("trace.quarantined", ingest.quarantined);
-    let warmup = (trace.len() as f64 * warmup_frac.clamp(0.0, 0.95)) as usize;
+    let IngestedTrace {
+        records: trace,
+        warmup,
+        ..
+    } = mlc_cli::ingest_trace(&args, &trace_path, warmup_frac, false, &obs, &mut manifest)?;
     eprintln!(
         "simulating {} references ({} warmup) on a {}-level hierarchy …",
         trace.len(),
         warmup,
         config.depth()
     );
-
-    let mut manifest = RunManifest::new("mlc-run", env!("CARGO_PKG_VERSION"));
-    manifest.command(std::env::args().skip(1));
-    if obs.metrics.is_enabled() {
-        let timer = obs.metrics.time_phase("digest_trace");
-        let digest = digest_records_hex(&trace);
-        timer.stop();
-        manifest.trace(
-            &trace_path.display().to_string(),
-            trace.len() as u64,
-            warmup as u64,
-            &digest,
-        );
-    }
     manifest.param("warmup_frac", warmup_frac);
-    manifest.param(
-        "trace_faults",
-        args.get("trace-faults").unwrap_or("fail").to_string(),
-    );
-    manifest.param("trace_quarantined", ingest.quarantined);
     manifest.param("depth", config.depth() as u64);
     manifest.param("machine", machine_file::render_machine(&config));
 

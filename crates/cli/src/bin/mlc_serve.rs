@@ -36,7 +36,7 @@ mod unix {
     use mlc_cli::args::{parse_size, Args, Flag};
     use mlc_cli::obs::{obs_flags, Observability};
     use mlc_obs::RunManifest;
-    use mlc_serve::{net, FaultInjector, Server, ServerConfig, TraceLoader};
+    use mlc_serve::{net, FaultInjector, Server, ServerConfig};
 
     fn flags() -> Vec<Flag> {
         let mut flags = vec![
@@ -115,43 +115,6 @@ mod unix {
         flags
     }
 
-    /// Trace ingestion for the daemon: the same quarantine-aware path
-    /// the CLI binaries use, so a `skip:N` fault policy behaves
-    /// identically whether a sweep runs via `mlc-sweep` or the server.
-    /// Quarantine diagnostics are stamped with the requesting
-    /// submission's trace id — in the warning, and in a `.ctx` file
-    /// next to the quarantine sidecar (the sidecar itself stays pure
-    /// rejected-records, its format untouched).
-    fn loader(policy: mlc_trace::FaultPolicy) -> TraceLoader {
-        Box::new(move |path, trace_id| {
-            let (records, ingest, sidecar) =
-                mlc_cli::read_trace_file_with(path, policy).map_err(|e| e.to_string())?;
-            let id = Some(trace_id).filter(|id| !id.is_empty());
-            if let Some(warning) = mlc_cli::ingest_warning(&ingest, sidecar.as_deref(), id) {
-                eprintln!("{warning}");
-                if let (Some(sidecar), Some(id)) = (sidecar, id) {
-                    let meta = mlc_obs::json::JsonValue::object([
-                        ("schema".into(), "mlc-quarantine-ctx/1".into()),
-                        ("trace_id".into(), id.into()),
-                        ("quarantined".into(), ingest.quarantined.into()),
-                    ]);
-                    let mut line = meta.to_string_compact();
-                    line.push('\n');
-                    let _ = std::fs::write(suffixed(&sidecar, ".ctx"), line);
-                }
-            }
-            Ok(records)
-        })
-    }
-
-    /// `path` with `suffix` appended to its full file name (keeping
-    /// any existing extension, unlike `Path::with_extension`).
-    fn suffixed(path: &std::path::Path, suffix: &str) -> PathBuf {
-        let mut name = path.as_os_str().to_owned();
-        name.push(suffix);
-        PathBuf::from(name)
-    }
-
     /// The flight recorder: appends one compact `mlc-stats/1` snapshot
     /// line to `path` every `every`, rotating to `<path>.1` when the
     /// file grows past `max_bytes`. Runs until `server` reports
@@ -163,6 +126,8 @@ mod unix {
         every: Duration,
         max_bytes: u64,
     ) -> std::thread::JoinHandle<()> {
+        let mut rotated = path.clone().into_os_string();
+        rotated.push(".1");
         std::thread::spawn(move || {
             use std::io::Write as _;
             while !server.shutdown_requested() {
@@ -176,7 +141,7 @@ mod unix {
                 // Rotate first, so one snapshot never splits across
                 // files and the pair is bounded by ~2x the budget.
                 if std::fs::metadata(&path).is_ok_and(|m| m.len() >= max_bytes) {
-                    let _ = std::fs::rename(&path, suffixed(&path, ".1"));
+                    let _ = std::fs::rename(&path, &rotated);
                 }
                 let mut line = server
                     .stats_doc(env!("CARGO_PKG_VERSION"))
@@ -246,9 +211,9 @@ mod unix {
                 eprintln!("mlc-serve: CHAOS ARMED ({spec})");
             }
         }
-        let policy = mlc_cli::parse_trace_faults(&args)?;
+        config.trace_faults = mlc_cli::parse_trace_faults(&args)?;
 
-        let server = Server::new(config, loader(policy))?;
+        let server = Server::new(config)?;
         let report = server.recover();
         for key in &report.resumed {
             eprintln!("resumed in-flight sweep {key}");

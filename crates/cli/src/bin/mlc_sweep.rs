@@ -14,12 +14,13 @@ use mlc_cache::ByteSize;
 use mlc_cli::args::{parse_choice, parse_int_range, parse_size_range, Args, Flag};
 use mlc_cli::machine_file;
 use mlc_cli::obs::{obs_flags, Observability};
+use mlc_cli::IngestedTrace;
 use mlc_core::{
     constant_performance_lines, fmt_f2, slopes_cycles_per_doubling, validate_grid, verify_grids,
     DesignGrid, Explorer, GridRow, SlopeRegion, SweepEngine, Table,
 };
 use mlc_obs::json::JsonValue;
-use mlc_obs::{digest_records_hex, JournalHeader, JournalWriter, RunManifest};
+use mlc_obs::{JournalHeader, JournalWriter, RunManifest};
 use mlc_sim::machine::BaseMachine;
 
 fn flags() -> Vec<Flag> {
@@ -239,7 +240,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let journal_path = args.get("journal").map(PathBuf::from);
     let resume = args.has("resume");
     let max_point_failures: u64 = args.get_or("max-point-failures", 0)?;
-    let fault_policy = mlc_cli::parse_trace_faults(&args)?;
     if resume && journal_path.is_none() {
         return Err("--resume requires --journal".into());
     }
@@ -253,14 +253,22 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let first_config = validate_grid(l1, &sizes, &cycles, ways)?;
     let obs = Observability::from_args(&args)?;
 
-    let timer = obs.metrics.time_phase("read_trace");
-    let (trace, ingest, sidecar) = mlc_cli::read_trace_file_with(&trace_path, fault_policy)?;
-    timer.stop();
-    if let Some(warning) = mlc_cli::ingest_warning(&ingest, sidecar.as_deref(), None) {
-        eprintln!("{warning}");
-    }
-    obs.metrics.add("trace.quarantined", ingest.quarantined);
-    let warmup = (trace.len() as f64 * warmup_frac.clamp(0.0, 0.95)) as usize;
+    let mut manifest = RunManifest::new("mlc-sweep", env!("CARGO_PKG_VERSION"));
+    manifest.command(std::env::args().skip(1));
+    // The journal header pins the digest, so journalling computes it
+    // even when metrics are off.
+    let IngestedTrace {
+        records: trace,
+        warmup,
+        digest,
+    } = mlc_cli::ingest_trace(
+        &args,
+        &trace_path,
+        warmup_frac,
+        journal_path.is_some(),
+        &obs,
+        &mut manifest,
+    )?;
     let passes = match engine {
         SweepEngine::Exhaustive => sizes.len() * cycles.len(),
         SweepEngine::OnePass => sizes.len(),
@@ -272,26 +280,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         trace.len()
     );
 
-    let mut manifest = RunManifest::new("mlc-sweep", env!("CARGO_PKG_VERSION"));
-    manifest.command(std::env::args().skip(1));
-    // The journal header pins the digest, so journalling computes it
-    // even when metrics are off.
-    let digest = if journal_path.is_some() || obs.metrics.is_enabled() {
-        let timer = obs.metrics.time_phase("digest_trace");
-        let digest = digest_records_hex(&trace);
-        timer.stop();
-        Some(digest)
-    } else {
-        None
-    };
-    if obs.metrics.is_enabled() {
-        manifest.trace(
-            &trace_path.display().to_string(),
-            trace.len() as u64,
-            warmup as u64,
-            digest.as_deref().expect("metrics enabled implies a digest"),
-        );
-    }
     manifest.engine(&engine.to_string());
     manifest.param("l1_bytes", l1.get());
     manifest.param(
@@ -305,11 +293,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     manifest.param("l2_ways", u64::from(ways));
     manifest.param("warmup_frac", warmup_frac);
     manifest.param("cross_check", args.has("cross-check"));
-    manifest.param(
-        "trace_faults",
-        args.get("trace-faults").unwrap_or("fail").to_string(),
-    );
-    manifest.param("trace_quarantined", ingest.quarantined);
     manifest.param("max_point_failures", max_point_failures);
     if let Some(p) = &journal_path {
         manifest.param("journal", p.display().to_string());

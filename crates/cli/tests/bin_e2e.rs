@@ -532,6 +532,52 @@ fn run_quarantines_malformed_records_under_skip_policy() {
 }
 
 #[test]
+fn bounds_records_quarantined_records_in_manifest_and_metrics() {
+    let trace = tmp("bounds_faulty.din");
+    let trace_str = trace.to_str().unwrap();
+    gen_mips1(trace_str, 20_000, 29);
+    let mut text = std::fs::read_to_string(&trace).unwrap();
+    text.push_str("not a record\n3 zz\n");
+    std::fs::write(&trace, &text).unwrap();
+
+    let manifest_path = tmp("bounds_faulty.manifest.json");
+    let metrics_path = tmp("bounds_faulty.jsonl");
+    let (ok, _, stderr) = run(
+        env!("CARGO_BIN_EXE_mlc-bounds"),
+        &[
+            "--trace",
+            trace_str,
+            "--trace-faults",
+            "skip:4",
+            "--manifest-out",
+            manifest_path.to_str().unwrap(),
+            "--metrics-out",
+            metrics_path.to_str().unwrap(),
+        ],
+    );
+    assert!(ok, "degraded read must succeed: {stderr}");
+    assert!(
+        stderr.contains("quarantined 2 malformed trace record(s)"),
+        "{stderr}"
+    );
+    let manifest = std::fs::read_to_string(&manifest_path).unwrap();
+    for needle in [
+        "\"trace_faults\": \"skip:4\"",
+        "\"trace_quarantined\": 2",
+        "read_trace_ms",
+        "digest_trace_ms",
+    ] {
+        assert!(manifest.contains(needle), "missing {needle}:\n{manifest}");
+    }
+    let jsonl = std::fs::read_to_string(&metrics_path).unwrap();
+    let counter = jsonl
+        .lines()
+        .find(|l| l.contains("\"name\":\"trace.quarantined\""))
+        .unwrap_or_else(|| panic!("trace.quarantined counter missing: {jsonl}"));
+    assert!(counter.contains("\"value\":2"), "{counter}");
+}
+
+#[test]
 fn sweep_failure_budget_gates_the_exit_code() {
     // --max-point-failures with a clean grid is a no-op; the flag is
     // recorded in the manifest.

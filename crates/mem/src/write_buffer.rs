@@ -22,9 +22,6 @@ pub struct BufferedWrite {
     /// Width of the entry in bytes (the upstream cache's block size for
     /// write-backs; the store width for write-throughs).
     pub bytes: u64,
-    /// The tick at which the entry entered the buffer; it cannot begin
-    /// draining earlier.
-    pub ready_at: u64,
 }
 
 /// Occupancy counters for a [`WriteBuffer`].
@@ -50,7 +47,7 @@ pub struct WriteBufferStats {
 /// use mlc_trace::Address;
 ///
 /// let mut buf = WriteBuffer::new(4);
-/// let w = BufferedWrite { addr: Address::new(0x40), bytes: 16, ready_at: 0 };
+/// let w = BufferedWrite { addr: Address::new(0x40), bytes: 16 };
 /// assert!(buf.try_push(w));
 /// assert_eq!(buf.len(), 1);
 /// assert_eq!(buf.pop(), Some(w));
@@ -120,11 +117,6 @@ impl WriteBuffer {
         e
     }
 
-    /// Peeks at the oldest entry without retiring it.
-    pub fn front(&self) -> Option<&BufferedWrite> {
-        self.entries.front()
-    }
-
     /// Iterates over queued entries, oldest first — used by the simulator
     /// to detect read-after-write hazards against buffered data.
     pub fn iter(&self) -> impl Iterator<Item = &BufferedWrite> {
@@ -162,7 +154,6 @@ mod tests {
         BufferedWrite {
             addr: Address::new(a),
             bytes: 16,
-            ready_at: 0,
         }
     }
 
@@ -172,7 +163,6 @@ mod tests {
         for a in [1, 2, 3] {
             assert!(b.try_push(w(a)));
         }
-        assert_eq!(b.front(), Some(&w(1)));
         assert_eq!(b.pop(), Some(w(1)));
         assert_eq!(b.pop(), Some(w(2)));
         assert_eq!(b.pop(), Some(w(3)));
@@ -235,7 +225,6 @@ mod tests {
         b.try_push(BufferedWrite {
             addr: Address::new(0x40),
             bytes: 16,
-            ready_at: 0,
         });
         assert!(b.overlaps(Address::new(0x40), 16)); // exact
         assert!(b.overlaps(Address::new(0x48), 4)); // inside

@@ -56,8 +56,8 @@ pub use proto::{
     grid_from_json, grid_to_json, Event, Request, Source, Stats, SubmitRequest, PROTO, STATS_SCHEMA,
 };
 pub use server::{
-    default_loader, JobDone, JobError, JobEvent, JobStatus, RecoveryReport, Server, ServerConfig,
-    Submission, SubmitError, SubmitOutcome, TraceLoader,
+    JobDone, JobError, JobEvent, JobStatus, RecoveryReport, Server, ServerConfig, Submission,
+    SubmitError, SubmitOutcome,
 };
 pub use stats::{shard_of, ServerStats, STATS_SHARDS};
 pub use store::{grid_from_journal, DiskStore, EvictReport, JobSpec, JOB_SPEC_SCHEMA};

@@ -32,8 +32,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufReader};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -46,7 +45,7 @@ use mlc_obs::json::JsonValue;
 use mlc_obs::span::{mint_trace_id, valid_trace_id, Stage};
 use mlc_obs::{digest_records_hex, JournalHeader, JournalWriter, Metrics};
 use mlc_sim::machine::BaseMachine;
-use mlc_trace::TraceRecord;
+use mlc_trace::{ingest_warning, FaultPolicy, TraceError, TraceRecord};
 
 use crate::cache::{ResultCache, Tier};
 use crate::chaos::FaultInjector;
@@ -54,31 +53,6 @@ use crate::key::{job_key, key_stem};
 use crate::proto::{Source, Stats, SubmitRequest, PROTO, STATS_SCHEMA};
 use crate::stats::ServerStats;
 use crate::store::{DiskStore, JobSpec};
-
-/// How a server turns a trace path into records. Injectable so the
-/// daemon binary can plug in quarantine-aware ingestion while the
-/// library stays dependency-light. The second argument is the
-/// requesting submission's trace context (empty when there is none,
-/// e.g. a recovery reload of a pre-tracing journal) so ingestion
-/// diagnostics — quarantine warnings and sidecar context — can name
-/// the request that triggered them.
-pub type TraceLoader = Box<dyn Fn(&Path, &str) -> Result<Vec<TraceRecord>, String> + Send + Sync>;
-
-/// A loader for the workspace's native formats: `.din` Dinero text,
-/// anything else the `mlc` binary trace layouts (strict ingestion, no
-/// quarantine).
-pub fn default_loader() -> TraceLoader {
-    Box::new(|path: &Path, _trace_id: &str| {
-        let result = if path.extension().is_some_and(|e| e == "din") {
-            let file = File::open(path).map_err(|e| e.to_string())?;
-            mlc_trace::din::read_din(BufReader::new(file))
-        } else {
-            let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-            mlc_trace::slice::read_binary_slice(&bytes)
-        };
-        result.map_err(|e| e.to_string())
-    })
-}
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -114,12 +88,17 @@ pub struct ServerConfig {
     /// per-span timeline is skipped). The daemon turns this on for
     /// `--events-out`.
     pub span_retention: usize,
+    /// How submissions' traces treat malformed records (`Fail`, the
+    /// default, or a quarantining `Skip`; see
+    /// [`mlc_trace::read_trace_file`]).
+    pub trace_faults: FaultPolicy,
 }
 
 impl ServerConfig {
     /// Defaults: 8-entry memory tier, no row delay, 32-job table,
     /// 64-deep event queues, unbounded disk, 30 s I/O timeout, 64
-    /// handlers, no chaos, no metrics, no span retention.
+    /// handlers, no chaos, no metrics, no span retention, strict trace
+    /// ingestion.
     pub fn new(store_root: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             store_root: store_root.into(),
@@ -133,6 +112,7 @@ impl ServerConfig {
             chaos: FaultInjector::none(),
             metrics: Metrics::disabled(),
             span_retention: 0,
+            trace_faults: FaultPolicy::Fail,
         }
     }
 }
@@ -427,7 +407,7 @@ pub struct RecoveryReport {
 pub struct Server {
     cache: ResultCache,
     jobs: Mutex<HashMap<String, Arc<Job>>>,
-    loader: TraceLoader,
+    trace_faults: FaultPolicy,
     row_delay: Duration,
     max_jobs: usize,
     event_queue: usize,
@@ -462,7 +442,7 @@ impl Server {
     /// # Errors
     ///
     /// Any I/O error from creating the store directories.
-    pub fn new(config: ServerConfig, loader: TraceLoader) -> io::Result<Arc<Server>> {
+    pub fn new(config: ServerConfig) -> io::Result<Arc<Server>> {
         let disk = DiskStore::open_with(
             &config.store_root,
             config.disk_budget,
@@ -471,7 +451,7 @@ impl Server {
         Ok(Arc::new(Server {
             cache: ResultCache::new(disk, config.mem_entries),
             jobs: Mutex::new(HashMap::new()),
-            loader,
+            trace_faults: config.trace_faults,
             row_delay: config.row_delay,
             max_jobs: config.max_jobs.max(1),
             event_queue: config.event_queue,
@@ -778,7 +758,8 @@ impl Server {
         // and concurrent submissions with different ids converge on
         // one job.
         let key_start = Instant::now();
-        let trace = (self.loader)(&req.trace, &trace_id)
+        let trace = self
+            .load_trace(&req.trace, &trace_id)
             .map_err(|e| SubmitError::Invalid(format!("trace {}: {e}", req.trace.display())))?;
         let warmup = (trace.len() as f64 * req.warmup_frac.clamp(0.0, 0.95)) as u64;
         let header = JournalHeader {
@@ -931,6 +912,31 @@ impl Server {
         report
     }
 
+    /// Reads a submission's trace under the configured fault policy.
+    /// A degraded read prints the ingest warning stamped with the
+    /// submission's `trace_id`, and writes a `<sidecar>.ctx` companion
+    /// naming that id next to the quarantine sidecar (the sidecar
+    /// itself stays pure rejected records, its format untouched).
+    fn load_trace(&self, path: &Path, trace_id: &str) -> Result<Vec<TraceRecord>, TraceError> {
+        let (records, ingest, sidecar) = mlc_trace::read_trace_file(path, self.trace_faults)?;
+        if let Some(warning) = ingest_warning(&ingest, sidecar.as_deref(), Some(trace_id)) {
+            eprintln!("{warning}");
+        }
+        if let Some(sidecar) = sidecar {
+            let meta = JsonValue::object([
+                ("schema".into(), "mlc-quarantine-ctx/1".into()),
+                ("trace_id".into(), trace_id.into()),
+                ("quarantined".into(), ingest.quarantined.into()),
+            ]);
+            let mut line = meta.to_string_compact();
+            line.push('\n');
+            let mut ctx = sidecar.into_os_string();
+            ctx.push(".ctx");
+            let _ = std::fs::write(ctx, line);
+        }
+        Ok(records)
+    }
+
     fn recover_one(self: &Arc<Self>, stem: &str, spec: &JobSpec) -> Result<String, String> {
         let disk = self.cache.disk();
         let path = disk.job_journal_path(stem);
@@ -957,7 +963,8 @@ impl Server {
         // started it (journals predating tracing get a fresh id), so
         // the work stays attributable across the crash.
         let trace_id = header.trace_id.clone().unwrap_or_else(mint_trace_id);
-        let trace = (self.loader)(&spec.trace, &trace_id)
+        let trace = self
+            .load_trace(&spec.trace, &trace_id)
             .map_err(|e| format!("trace reload failed (spool kept): {e}"))?;
         if digest_records_hex(&trace) != header.trace_digest {
             disk.discard_job(stem);

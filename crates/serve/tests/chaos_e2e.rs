@@ -8,8 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mlc_serve::{
-    default_loader, grid_to_json, FaultInjector, JobEvent, Server, ServerConfig, SubmitError,
-    SubmitOutcome,
+    grid_to_json, FaultInjector, JobEvent, Server, ServerConfig, SubmitError, SubmitOutcome,
 };
 
 mod common;
@@ -35,7 +34,7 @@ fn enospc_mid_journal_is_retryable_and_heals() {
     let trace = write_trace(&root, 20_000);
 
     // Clean reference bits.
-    let reference = Server::new(ServerConfig::new(root.join("ref")), default_loader()).unwrap();
+    let reference = Server::new(ServerConfig::new(root.join("ref"))).unwrap();
     let SubmitOutcome::Running(sub) = reference.submit(&request(&trace, SIZES)).unwrap() else {
         panic!("empty store cannot hit");
     };
@@ -46,7 +45,7 @@ fn enospc_mid_journal_is_retryable_and_heals() {
     chaos.arm_journal_enospc(1);
     let mut config = ServerConfig::new(root.join("store"));
     config.chaos = Arc::clone(&chaos);
-    let server = Server::new(config, default_loader()).unwrap();
+    let server = Server::new(config).unwrap();
 
     let SubmitOutcome::Running(sub) = server.submit(&request(&trace, SIZES)).unwrap() else {
         panic!("empty store cannot hit");
@@ -77,7 +76,7 @@ fn torn_commit_rename_is_retryable_and_resumes_without_recompute() {
     chaos.arm_commit_fail(1);
     let mut config = ServerConfig::new(root.join("store"));
     config.chaos = Arc::clone(&chaos);
-    let server = Server::new(config, default_loader()).unwrap();
+    let server = Server::new(config).unwrap();
 
     let SubmitOutcome::Running(sub) = server.submit(&request(&trace, SIZES)).unwrap() else {
         panic!("empty store cannot hit");
@@ -105,7 +104,7 @@ fn full_job_table_sheds_with_a_typed_overload() {
     let mut config = ServerConfig::new(root.join("store"));
     config.max_jobs = 1;
     config.row_delay = Duration::from_millis(300);
-    let server = Server::new(config, default_loader()).unwrap();
+    let server = Server::new(config).unwrap();
 
     let SubmitOutcome::Running(leader) = server.submit(&request(&trace, SIZES)).unwrap() else {
         panic!("empty store cannot hit");
@@ -130,7 +129,7 @@ fn full_job_table_sheds_with_a_typed_overload() {
 fn draining_server_sheds_new_submissions() {
     let root = temp_root("drainshed");
     let trace = write_trace(&root, 20_000);
-    let server = Server::new(ServerConfig::new(root.join("store")), default_loader()).unwrap();
+    let server = Server::new(ServerConfig::new(root.join("store"))).unwrap();
     server.shutdown();
     match server.submit(&request(&trace, SIZES)) {
         Err(SubmitError::Overloaded(reason)) => assert!(reason.contains("draining")),
@@ -151,7 +150,7 @@ struct NetFixture {
 impl NetFixture {
     fn start(root: &Path, mut config: ServerConfig) -> NetFixture {
         config.store_root = root.join("store");
-        let server = Server::new(config, default_loader()).unwrap();
+        let server = Server::new(config).unwrap();
         let socket = root.join("serve.sock");
         let thread = {
             let server = Arc::clone(&server);

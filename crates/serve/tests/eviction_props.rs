@@ -13,8 +13,8 @@ use std::time::{Duration, SystemTime};
 
 use mlc_obs::{JournalHeader, JournalRow, JournalWriter};
 use mlc_serve::{
-    default_loader, grid_to_json, job_key, key_stem, DiskStore, FaultInjector, JobEvent, JobSpec,
-    Server, ServerConfig, SubmitOutcome, SubmitRequest,
+    grid_to_json, job_key, key_stem, DiskStore, FaultInjector, JobEvent, JobSpec, Server,
+    ServerConfig, SubmitOutcome, SubmitRequest,
 };
 
 mod common;
@@ -244,7 +244,7 @@ fn recompute_after_eviction_is_bit_identical() {
     // Reference pass, unbudgeted: learn A's bits and entry size.
     let mut config = ServerConfig::new(root.join("ref_store"));
     config.mem_entries = 8;
-    let reference = Server::new(config, default_loader()).unwrap();
+    let reference = Server::new(config).unwrap();
     let (grid_a, _) = run_to_grid(&reference, &req_a);
     let bits_a = grid_to_json(&grid_a).to_string_compact();
     let entry_bytes = reference.stats().disk_bytes;
@@ -254,7 +254,7 @@ fn recompute_after_eviction_is_bit_identical() {
     let store_root = root.join("store");
     let mut config = ServerConfig::new(&store_root);
     config.disk_budget = Some(entry_bytes + entry_bytes / 2);
-    let server = Server::new(config, default_loader()).unwrap();
+    let server = Server::new(config).unwrap();
     let (grid_first, cached) = run_to_grid(&server, &req_a);
     assert!(!cached);
     assert_eq!(grid_to_json(&grid_first).to_string_compact(), bits_a);
@@ -268,7 +268,7 @@ fn recompute_after_eviction_is_bit_identical() {
     // same submission recomputes — and must reproduce A bit for bit.
     let mut config = ServerConfig::new(&store_root);
     config.disk_budget = Some(entry_bytes + entry_bytes / 2);
-    let rebuilt = Server::new(config, default_loader()).unwrap();
+    let rebuilt = Server::new(config).unwrap();
     let (grid_again, cached) = run_to_grid(&rebuilt, &req_a);
     assert!(!cached, "A was evicted; this must be a recompute");
     assert_eq!(

@@ -10,9 +10,10 @@ use std::time::{Duration, Instant};
 use mlc_core::DesignGrid;
 use mlc_obs::{digest_records_hex, JournalHeader, JournalRow, JournalWriter};
 use mlc_serve::{
-    default_loader, grid_to_json, job_key, key_stem, DiskStore, JobEvent, JobSpec, JobStatus,
-    Server, ServerConfig, SubmitOutcome, Tier,
+    grid_to_json, job_key, key_stem, DiskStore, JobEvent, JobSpec, JobStatus, Server, ServerConfig,
+    SubmitError, SubmitOutcome, Tier,
 };
+use mlc_trace::FaultPolicy;
 
 mod common;
 use common::{request, temp_root, write_trace, SIZES};
@@ -20,7 +21,7 @@ use common::{request, temp_root, write_trace, SIZES};
 fn server(root: &Path, row_delay: Duration) -> Arc<Server> {
     let mut config = ServerConfig::new(root);
     config.row_delay = row_delay;
-    Server::new(config, default_loader()).unwrap()
+    Server::new(config).unwrap()
 }
 
 /// Follows a submission's event stream to its terminal grid.
@@ -134,7 +135,9 @@ fn recovery_resumes_interrupted_job_bit_identically() {
     // ci.sh smoke kills a real daemon.) The header must be byte-for-
     // byte what a live submission derives, so build it the same way.
     let crash_root = root.join("crash_store");
-    let records = default_loader()(&trace, "").unwrap();
+    let records = mlc_trace::read_trace_file(&trace, FaultPolicy::Fail)
+        .unwrap()
+        .0;
     let req = request(&trace, SIZES);
     let header = JournalHeader {
         trace_digest: digest_records_hex(&records),
@@ -208,7 +211,7 @@ fn trace_id_follows_the_job_through_events_journal_and_spans() {
     let mut config = ServerConfig::new(root.join("store"));
     config.row_delay = Duration::from_millis(300);
     config.span_retention = 4096;
-    let server = Server::new(config, default_loader()).unwrap();
+    let server = Server::new(config).unwrap();
 
     let leader_id = "trc-e2e-leader";
     let mut req = request(&trace, SIZES);
@@ -284,6 +287,46 @@ fn trace_id_follows_the_job_through_events_journal_and_spans() {
         server.submit(&bad),
         Err(mlc_serve::SubmitError::Invalid(_))
     ));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A `Skip` server reads a damaged trace the way `--trace-faults
+/// skip:N` does on the CLI: the malformed lines land in the
+/// `<trace>.quarantine` sidecar, and a `.ctx` companion names the
+/// submission that ingested them. A `Fail` server rejects the same
+/// submission as invalid.
+#[test]
+fn skip_policy_quarantines_malformed_lines_and_stamps_the_submission() {
+    let root = temp_root("quarantine");
+    let trace = write_trace(&root, 4_000);
+    let mut text = std::fs::read_to_string(&trace).unwrap();
+    text.push_str("not a record\n3 zz\n");
+    std::fs::write(&trace, text).unwrap();
+
+    let mut config = ServerConfig::new(root.join("store"));
+    config.trace_faults = FaultPolicy::Skip { budget: 4 };
+    let skipping = Server::new(config).unwrap();
+    let mut req = request(&trace, SIZES);
+    req.trace_id = "trc-e2e-quarantine".into();
+    match skipping.submit(&req).unwrap() {
+        SubmitOutcome::Running(sub) => drain(&sub.events),
+        SubmitOutcome::Cached { .. } => panic!("empty store cannot hit"),
+    };
+
+    let sidecar = mlc_trace::quarantine_path(&trace);
+    let quarantined = std::fs::read_to_string(&sidecar).unwrap();
+    assert_eq!(
+        quarantined, "line 4001: not a record\nline 4002: 3 zz\n",
+        "sidecar holds exactly the malformed lines"
+    );
+    let mut ctx = sidecar.into_os_string();
+    ctx.push(".ctx");
+    let ctx = std::fs::read_to_string(ctx).unwrap();
+    assert!(ctx.contains("\"trace_id\":\"trc-e2e-quarantine\""), "{ctx}");
+    assert!(ctx.contains("\"quarantined\":2"), "{ctx}");
+
+    let strict = server(&root.join("strict_store"), Duration::ZERO);
+    assert!(matches!(strict.submit(&req), Err(SubmitError::Invalid(_))));
     let _ = std::fs::remove_dir_all(&root);
 }
 

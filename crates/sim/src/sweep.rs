@@ -210,8 +210,7 @@ pub(crate) struct SweepLevel<const W: usize> {
     /// The bus over which this level refills from (and writes back to)
     /// the next level down.
     refill_bus: SweepBus<W>,
-    /// Writes from this level awaiting drain downstream; each entry's
-    /// `ready_at` is lane 0's.
+    /// Writes from this level awaiting drain downstream.
     pub(crate) out_buffer: WriteBuffer,
     /// Per-entry per-lane ready times, parallel to `out_buffer`.
     ready: VecDeque<[u64; W]>,
@@ -877,11 +876,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
     /// paper's buffer-full stall). Returns when the entry was accepted —
     /// the producer cannot proceed earlier.
     fn push_writeback(&mut self, j: usize, addr: Address, bytes: u64, t: [u64; W]) -> [u64; W] {
-        let entry = BufferedWrite {
-            addr,
-            bytes,
-            ready_at: t[0],
-        };
+        let entry = BufferedWrite { addr, bytes };
         self.levels[j].writeback_bytes += bytes;
         if self.levels[j].out_buffer.try_push(entry) {
             self.levels[j].ready.push_back(t);
@@ -895,11 +890,7 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
         let accepted = vmax(t, self.drain_one(j, t));
         self.obs.pop_suppress();
         self.obs.record(Cause::BufferFull, accepted[0] - t[0]);
-        let pushed = self.levels[j].out_buffer.try_push(BufferedWrite {
-            addr,
-            bytes,
-            ready_at: accepted[0],
-        });
+        let pushed = self.levels[j].out_buffer.try_push(entry);
         // Invariant: drain_one just popped an entry, so the bounded
         // buffer has at least one free slot for this push.
         debug_assert!(pushed, "buffer must have space after forced drain");

@@ -18,8 +18,8 @@ use crate::record::{AccessKind, Address, TraceRecord};
 
 /// Parses one `.din` line: `Ok(None)` for blanks and comments,
 /// `Ok(Some(record))` for a record, a [`TraceError::ParseDin`] carrying
-/// `line_no` otherwise. The single parser behind both the strict
-/// [`DinReader`] and the degraded-mode [`read_din_with`].
+/// `line_no` otherwise. The one parser behind [`read_din_with`] (and
+/// so behind the strict [`read_din`] too).
 fn parse_din_line(line_no: u64, line: &str) -> Result<Option<TraceRecord>, TraceError> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
@@ -80,67 +80,6 @@ where
     Ok(())
 }
 
-/// A streaming reader for `.din` traces.
-///
-/// Iterates over `Result<TraceRecord, TraceError>`, reporting malformed
-/// lines with their line numbers. Use [`read_din`] to collect an entire
-/// trace at once.
-///
-/// # Examples
-///
-/// ```
-/// use mlc_trace::din::DinReader;
-/// use mlc_trace::TraceRecord;
-///
-/// let text = "2 400\n0 1a40\n1 1a44\n";
-/// let records: Result<Vec<_>, _> = DinReader::new(text.as_bytes()).collect();
-/// assert_eq!(
-///     records?,
-///     vec![
-///         TraceRecord::ifetch(0x400),
-///         TraceRecord::read(0x1a40),
-///         TraceRecord::write(0x1a44),
-///     ]
-/// );
-/// # Ok::<(), mlc_trace::TraceError>(())
-/// ```
-#[derive(Debug)]
-pub struct DinReader<R> {
-    lines: io::Lines<BufReader<R>>,
-    line_no: u64,
-}
-
-impl<R: Read> DinReader<R> {
-    /// Creates a reader over any [`Read`] implementation.
-    ///
-    /// A `&mut` reference to a reader is itself a reader, so this can be
-    /// called with `&mut file` if the file is needed afterwards.
-    pub fn new(reader: R) -> Self {
-        DinReader {
-            lines: BufReader::new(reader).lines(),
-            line_no: 0,
-        }
-    }
-}
-
-impl<R: Read> Iterator for DinReader<R> {
-    type Item = Result<TraceRecord, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            self.line_no += 1;
-            match self.lines.next()? {
-                Err(e) => return Some(Err(e.into())),
-                Ok(line) => match parse_din_line(self.line_no, &line) {
-                    Err(e) => return Some(Err(e)),
-                    Ok(Some(rec)) => return Some(Ok(rec)),
-                    Ok(None) => continue,
-                },
-            }
-        }
-    }
-}
-
 /// Reads an entire `.din` trace into memory.
 ///
 /// # Errors
@@ -157,7 +96,7 @@ impl<R: Read> Iterator for DinReader<R> {
 /// # Ok::<(), mlc_trace::TraceError>(())
 /// ```
 pub fn read_din<R: Read>(reader: R) -> Result<Vec<TraceRecord>, TraceError> {
-    DinReader::new(reader).collect()
+    read_din_with(reader, FaultPolicy::Fail, None).map(|(records, _)| records)
 }
 
 /// Reads a `.din` trace under a [`FaultPolicy`]: with

@@ -1,21 +1,22 @@
-//! Simulating a trace file: reads a Dinero `.din` trace (or generates
-//! and round-trips a sample if no path is given) and runs it through the
-//! base machine.
+//! Simulating a trace file: reads a Dinero `.din` or `mlc` binary trace
+//! (or generates and round-trips a sample if no path is given) and runs
+//! it through the base machine.
 //!
 //! Run with `cargo run --release --example trace_file_sim [trace.din]`.
 
 use std::fs::File;
 use std::io::BufReader;
+use std::path::Path;
 
 use mlc::sim::{machine, simulate};
 use mlc::trace::synth::{workload::Preset, MultiProgramGenerator};
-use mlc::trace::{binary, din, TraceRecord};
+use mlc::trace::{binary, din, read_trace_file, FaultPolicy, TraceRecord};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace: Vec<TraceRecord> = match std::env::args().nth(1) {
         Some(path) => {
             println!("reading {path} …");
-            din::read_din(BufReader::new(File::open(&path)?))?
+            read_trace_file(Path::new(&path), FaultPolicy::Fail)?.0
         }
         None => {
             // No input: synthesise a sample, round-trip it through both
