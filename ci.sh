@@ -32,6 +32,12 @@ cargo build --workspace --release --offline
 echo "==> perfbench build (--locked)"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+# Broken intra-doc links fail the build, so a deleted or private name
+# cannot linger in the docs. --lib: the mlc-serve binary's docs would
+# collide with the mlc_serve library's.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

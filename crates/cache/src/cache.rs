@@ -54,7 +54,7 @@ pub struct Fill {
 const INLINE_FILLS: usize = 2;
 
 /// The fills produced by one access, stored inline for the common short
-/// cases (see [`INLINE_FILLS`]). Dereferences to a slice, so it reads
+/// cases (see `INLINE_FILLS`). Dereferences to a slice, so it reads
 /// like the `Vec<Fill>` it replaces.
 #[derive(Debug, Clone)]
 pub struct FillList {
@@ -81,7 +81,7 @@ impl FillList {
         }
     }
 
-    /// Appends a fill, spilling to the heap past [`INLINE_FILLS`].
+    /// Appends a fill, spilling to the heap past the inline capacity.
     #[inline]
     pub fn push(&mut self, fill: Fill) {
         if !self.spill.is_empty() {

@@ -194,14 +194,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             None,
         )?;
         let report = AttributionReport::from_run(&config, &run.result, &run.ledger);
-        println!("{}", report.table());
-        match report.total_relative_error() {
-            Some(err) => println!(
-                "Equation 1 total off by {:+.1}% (refresh and overlap are unmodelled)",
-                100.0 * err
-            ),
-            None => println!("Equation 1 does not apply (machine is not two-level)"),
-        }
+        println!("{}", report.render());
     }
     if args.has("bounds") {
         let config = match args.get("machine") {

@@ -149,14 +149,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     );
     if args.has("attribution") {
         let report = AttributionReport::from_run(&config, result, &run.ledger);
-        println!("{}", report.table());
-        match report.total_relative_error() {
-            Some(err) => println!(
-                "Equation 1 total off by {:+.1}% (refresh and overlap are unmodelled)",
-                100.0 * err
-            ),
-            None => println!("Equation 1 does not apply (machine is not two-level)"),
-        }
+        println!("{}", report.render());
     }
     if let Some(tracer) = &run.tracer {
         events.write(

@@ -207,7 +207,7 @@ fn open_journal(
         eprintln!("warning: dropped torn partial line at the journal tail (crash debris)");
     }
     verify_header(&journal.header, header)?;
-    Ok((writer, journal.rows.iter().map(GridRow::from).collect()))
+    Ok((writer, journal.rows))
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {

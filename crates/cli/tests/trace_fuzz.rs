@@ -5,7 +5,7 @@
 //! run covers the same corpus and failures reproduce exactly.
 
 use mlc_trace::synth::Xoshiro;
-use mlc_trace::{binary, din};
+use mlc_trace::{binary, din, slice};
 
 fn check(cases: u64, f: impl Fn(&mut Xoshiro) + std::panic::RefUnwindSafe) {
     for case in 0..cases {
@@ -38,7 +38,7 @@ fn din_reader_never_panics() {
 fn binary_reader_never_panics() {
     check(256, |rng| {
         let bytes = rand_bytes(rng, 0, 2000);
-        let _ = binary::read_binary(bytes.as_slice());
+        let _ = slice::read_binary_slice(&bytes);
     });
 }
 
@@ -49,7 +49,7 @@ fn binary_reader_never_panics_with_valid_magic() {
         bytes[..4].copy_from_slice(b"MLCT");
         bytes[4] = 1 + rng.next_below(2) as u8;
         bytes[5] = 0;
-        let _ = binary::read_binary(bytes.as_slice());
+        let _ = slice::read_binary_slice(&bytes);
     });
 }
 
@@ -68,6 +68,6 @@ fn compressed_round_trips_arbitrary_records() {
             .collect();
         let mut buf = Vec::new();
         binary::write_compressed(&mut buf, &records).unwrap();
-        assert_eq!(binary::read_binary(buf.as_slice()).unwrap(), records);
+        assert_eq!(slice::read_binary_slice(&buf).unwrap(), records);
     });
 }

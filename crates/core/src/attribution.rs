@@ -213,6 +213,20 @@ impl AttributionReport {
             .map(|m| (m - self.sim_total as f64) / self.sim_total as f64)
     }
 
+    /// The table followed by a one-line verdict on Equation 1's total:
+    /// its relative error, or that it does not apply. This is the text
+    /// `mlc-run --attribution` and `mlc-analyze --attribution` print.
+    pub fn render(&self) -> String {
+        let verdict = match self.total_relative_error() {
+            Some(err) => format!(
+                "Equation 1 total off by {:+.1}% (refresh and overlap are unmodelled)",
+                100.0 * err
+            ),
+            None => "Equation 1 does not apply (machine is not two-level)".to_string(),
+        };
+        format!("{}\n{verdict}", self.table())
+    }
+
     /// Renders the cross-check as an aligned table: per-bucket simulated
     /// cycles and share of the run, the matching Equation 1 prediction,
     /// and the delta, with a totals row at the bottom.
@@ -411,6 +425,9 @@ mod tests {
         // The breakdown itself still conserves.
         let sum: u64 = report.rows.iter().map(|r| r.sim_cycles).sum();
         assert_eq!(sum, report.sim_total);
+        assert!(report
+            .render()
+            .ends_with("\nEquation 1 does not apply (machine is not two-level)"));
     }
 
     #[test]
@@ -485,6 +502,11 @@ mod tests {
         assert!(text.contains("N_total"));
         let csv = table.to_csv();
         assert!(csv.lines().count() == report.rows.len() + 2);
+        // The rendered report is the table plus the verdict line.
+        let rendered = report.render();
+        assert!(rendered.starts_with(&text), "{rendered}");
+        let verdict = rendered.lines().last().unwrap();
+        assert!(verdict.starts_with("Equation 1 total off by "), "{verdict}");
     }
 
     #[test]

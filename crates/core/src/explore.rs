@@ -10,7 +10,7 @@ use std::io;
 use std::sync::{Mutex, PoisonError};
 
 use mlc_cache::{ByteSize, CacheConfig};
-use mlc_obs::{JournalRow, Metrics, Progress};
+use mlc_obs::{Metrics, Progress};
 use mlc_sim::machine::BaseMachine;
 use mlc_sim::{
     simulate_timing_sweep, simulate_with_warmup, simulate_with_warmup_observed, solo,
@@ -58,49 +58,10 @@ pub struct DesignGrid {
 }
 
 /// One completed size-row of a [`DesignGrid`]: every cycle time priced
-/// at a single L2 size. The unit of checkpointing — sweeps journal one
-/// of these per completed size, and resume replays them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridRow {
-    /// Index into the swept size list.
-    pub size_idx: usize,
-    /// Total execution cycles per swept cycle time.
-    pub total: Vec<u64>,
-    /// L2 local read miss ratio at this size.
-    pub l2_local: f64,
-    /// L2 global read miss ratio at this size.
-    pub l2_global: f64,
-    /// L1 global read miss ratio (size-independent, repeated per row).
-    pub m_l1_global: f64,
-    /// CPU cycle time in ns (size-independent, repeated per row).
-    pub cpu_cycle_ns: f64,
-}
-
-impl From<&GridRow> for JournalRow {
-    fn from(row: &GridRow) -> Self {
-        JournalRow {
-            row: row.size_idx as u64,
-            total: row.total.clone(),
-            l2_local: row.l2_local,
-            l2_global: row.l2_global,
-            m_l1_global: row.m_l1_global,
-            cpu_cycle_ns: row.cpu_cycle_ns,
-        }
-    }
-}
-
-impl From<&JournalRow> for GridRow {
-    fn from(row: &JournalRow) -> Self {
-        GridRow {
-            size_idx: row.row as usize,
-            total: row.total.clone(),
-            l2_local: row.l2_local,
-            l2_global: row.l2_global,
-            m_l1_global: row.m_l1_global,
-            cpu_cycle_ns: row.cpu_cycle_ns,
-        }
-    }
-}
+/// at a single L2 size, `row` indexing the swept size list. The unit of
+/// checkpointing — sweeps journal one of these per completed size, and
+/// resume replays them — so it is the journal's row type itself.
+pub use mlc_obs::JournalRow as GridRow;
 
 /// What [`Explorer::l2_grid_checkpointed`] produced.
 #[derive(Debug)]
@@ -125,8 +86,8 @@ impl DesignGrid {
     ///
     /// # Panics
     ///
-    /// Panics if a row's `size_idx` or `total` length does not match the
-    /// grid definition.
+    /// Panics if a row's `row` index or `total` length does not match
+    /// the grid definition.
     pub fn from_rows(
         sizes: &[ByteSize],
         cycles: &[u64],
@@ -139,11 +100,12 @@ impl DesignGrid {
         let mut m_l1 = f64::NAN;
         let mut cpu_cycle_ns = 10.0;
         for row in rows {
-            assert!(row.size_idx < sizes.len(), "row index out of grid");
+            assert!(row.row < sizes.len() as u64, "row index out of grid");
+            let i = row.row as usize;
             assert_eq!(row.total.len(), cycles.len(), "row width mismatch");
-            total[row.size_idx] = row.total.clone();
-            l2_local[row.size_idx] = row.l2_local;
-            l2_global[row.size_idx] = row.l2_global;
+            total[i] = row.total.clone();
+            l2_local[i] = row.l2_local;
+            l2_global[i] = row.l2_global;
             m_l1 = row.m_l1_global;
             cpu_cycle_ns = row.cpu_cycle_ns;
         }
@@ -412,9 +374,9 @@ impl<'t> Explorer<'t> {
         append: A,
     ) -> GridRun
     where
-        A: FnMut(&JournalRow) -> io::Result<()> + Send,
+        A: FnMut(&GridRow) -> io::Result<()> + Send,
     {
-        let done: BTreeSet<usize> = completed.iter().map(|r| r.size_idx).collect();
+        let done: BTreeSet<usize> = completed.iter().map(|r| r.row as usize).collect();
         let todo: Vec<usize> = (0..sizes.len()).filter(|i| !done.contains(i)).collect();
         // The hook and the first error it returned, under one lock.
         let journal = Mutex::new((append, None));
@@ -423,7 +385,7 @@ impl<'t> Explorer<'t> {
             // panic is already isolated, so keep journalling.
             let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
             let (append, first_error) = &mut *journal;
-            if let Err(e) = append(&JournalRow::from(row)) {
+            if let Err(e) = append(row) {
                 first_error.get_or_insert(e);
             }
         });
@@ -513,7 +475,7 @@ impl<'t> Explorer<'t> {
             };
             let first = &results[0];
             let row = GridRow {
-                size_idx: i,
+                row: i as u64,
                 total: results.iter().map(|r| r.total_cycles).collect(),
                 l2_local: first.local_read_miss_ratio(1).unwrap_or(f64::NAN),
                 l2_global: first.global_read_miss_ratio(1).unwrap_or(f64::NAN),
@@ -773,7 +735,7 @@ mod tests {
         );
         assert_eq!(out.len(), 2);
         let good = out[0].as_ref().expect("row 0 completes");
-        assert_eq!(good.size_idx, 0);
+        assert_eq!(good.row, 0);
         assert_eq!(good.total.len(), 2);
         let bad = out[1].as_ref().unwrap_err();
         assert_eq!(bad.index, 5);
@@ -784,7 +746,7 @@ mod tests {
         explorer: &Explorer,
         sizes: &[ByteSize],
         completed: Vec<GridRow>,
-        append: impl FnMut(&JournalRow) -> io::Result<()> + Send,
+        append: impl FnMut(&GridRow) -> io::Result<()> + Send,
     ) -> GridRun {
         let base = BaseMachine::new();
         explorer.l2_grid_checkpointed(
@@ -847,7 +809,7 @@ mod tests {
         // Resume: half the rows come back from the journal, only the
         // other half is computed and appended, and the grid is the
         // fresh one bit for bit.
-        let completed = appended.iter().step_by(2).map(GridRow::from).collect();
+        let completed = appended.iter().step_by(2).cloned().collect();
         let mut resumed_appends = Vec::new();
         let resumed = checkpointed(&explorer, &sizes, completed, |row| {
             resumed_appends.push(row.row);

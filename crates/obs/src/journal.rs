@@ -51,7 +51,7 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 use crate::digest::Fnv64;
-use crate::json::JsonValue;
+use crate::json::{f64_bits_hex, f64_from_bits_hex, JsonValue};
 
 /// The schema tag of every journal this module writes.
 pub const JOURNAL_SCHEMA: &str = "mlc-journal/1";
@@ -81,8 +81,9 @@ pub struct JournalHeader {
     pub trace_id: Option<String>,
 }
 
-/// One committed grid row: the journal-side mirror of
-/// `mlc_core::GridRow`, with floats carried as bit patterns.
+/// One committed grid row: every swept cycle time priced at one L2
+/// size. `mlc_core` re-exports it as `GridRow`; on disk its floats are
+/// carried as bit patterns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRow {
     /// Size index within the header's `sizes`.
@@ -186,17 +187,6 @@ impl JournalRow {
             && self.m_l1_global.to_bits() == other.m_l1_global.to_bits()
             && self.cpu_cycle_ns.to_bits() == other.cpu_cycle_ns.to_bits()
     }
-}
-
-fn f64_bits_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn f64_from_bits_hex(s: &str) -> Option<f64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
 /// Renders `fields` with the integrity `check` field appended: the

@@ -12,6 +12,10 @@
 //!   [`JsonValue::I64`], so values this crate writes round-trip
 //!   byte-identically through parse → compact render (the property the
 //!   journal's per-line integrity checks rely on).
+//!
+//! Floats that must survive a round trip bit for bit — NaN included,
+//! which JSON cannot spell — travel as strings of exactly 16 hex digits
+//! ([`f64_bits_hex`] / [`f64_from_bits_hex`]).
 
 use std::fmt::{self, Write as _};
 
@@ -491,6 +495,20 @@ impl<'a> Parser<'a> {
             .map(JsonValue::F64)
             .map_err(|_| self.err("number out of range"))
     }
+}
+
+/// Renders `v`'s IEEE-754 bit pattern as 16 lowercase hex digits.
+pub fn f64_bits_hex(v: f64) -> String {
+    format!("{:016x}", v.to_bits())
+}
+
+/// Parses a bit pattern written by [`f64_bits_hex`]: exactly 16 hex
+/// digits (either case), nothing else — no sign, no `0x` prefix.
+pub fn f64_from_bits_hex(s: &str) -> Option<f64> {
+    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
 fn write_escaped(out: &mut String, s: &str) {

@@ -18,23 +18,13 @@ use std::path::PathBuf;
 
 use mlc_cache::ByteSize;
 use mlc_core::DesignGrid;
-use mlc_obs::json::JsonValue;
+use mlc_obs::json::{f64_bits_hex, f64_from_bits_hex, JsonValue};
 
 /// The protocol name and revision sent in `hello` / `pong`.
 pub const PROTO: &str = "mlc-serve/1";
 
 /// The schema tag of the telemetry document a `stats` request returns.
 pub const STATS_SCHEMA: &str = "mlc-stats/1";
-
-fn f64_bits_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn f64_from_bits_hex(s: &str) -> Option<f64> {
-    (s.len() == 16)
-        .then(|| u64::from_str_radix(s, 16).ok().map(f64::from_bits))
-        .flatten()
-}
 
 fn u64s(xs: &[u64]) -> JsonValue {
     JsonValue::Array(xs.iter().map(|&v| JsonValue::U64(v)).collect())
@@ -841,6 +831,26 @@ mod tests {
         let mut grid = sample_grid();
         grid.total.pop();
         assert!(grid_from_json(&grid_to_json(&grid)).is_err());
+    }
+
+    #[test]
+    fn grid_json_rejects_signed_bit_patterns() {
+        // `u64::from_str_radix` accepts a leading `+`; a bit pattern is
+        // exactly 16 hex digits, so "+3ff000000000000" (1.0's pattern
+        // with one digit traded for a sign) must not decode.
+        let mut v = grid_to_json(&sample_grid());
+        let JsonValue::Object(fields) = &mut v else {
+            unreachable!("grids render as objects")
+        };
+        for (name, value) in fields.iter_mut() {
+            if name == "m_l1_global_bits" {
+                *value = "+3ff000000000000".into();
+            }
+        }
+        assert_eq!(
+            grid_from_json(&v).unwrap_err(),
+            "missing or malformed field 'm_l1_global_bits'"
+        );
     }
 
     #[test]

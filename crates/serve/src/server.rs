@@ -970,7 +970,7 @@ impl Server {
             disk.discard_job(stem);
             return Err("trace content changed since the journal was written; discarded".into());
         }
-        let completed: Vec<GridRow> = journal.rows.iter().map(GridRow::from).collect();
+        let completed = journal.rows;
         let job = Arc::new(Job::new(
             spec.key.clone(),
             trace_id,
@@ -1130,7 +1130,7 @@ fn open_spool_journal(
     if path.exists() {
         if let Ok((writer, journal)) = JournalWriter::resume(&path) {
             if job_key(&journal.header) == key {
-                return Ok((writer, journal.rows.iter().map(GridRow::from).collect()));
+                return Ok((writer, journal.rows));
             }
         }
         // Unreadable or mismatched: start over.

@@ -47,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
 use mlc_cache::ByteSize;
-use mlc_core::{DesignGrid, GridRow};
+use mlc_core::DesignGrid;
 use mlc_obs::json::JsonValue;
 use mlc_obs::{read_journal, sync_dir_of, Journal};
 
@@ -89,7 +89,7 @@ pub fn grid_from_journal(journal: &Journal) -> DesignGrid {
         &sizes,
         &journal.header.cycles,
         journal.header.ways as u32,
-        &journal.rows.iter().map(GridRow::from).collect::<Vec<_>>(),
+        &journal.rows,
     )
 }
 

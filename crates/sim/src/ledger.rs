@@ -14,7 +14,7 @@
 //!
 //! Attribution is settled once per trace record. While the timing
 //! engine walks the hierarchy, `HierarchySim`'s observer records the
-//! *components* of the access's critical path into a [`LedgerScratch`]
+//! *components* of the access's critical path into a `LedgerScratch`
 //! — tag checks and hit times per level, memory service, refresh-gap
 //! waits, buffer-full drains — in temporal order. When the record completes,
 //! the simulator knows precisely how many cycles the clock advanced

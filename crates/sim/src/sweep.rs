@@ -1182,25 +1182,6 @@ impl TimingSweepSim {
         }
     }
 
-    /// Runs a slice of records through the hierarchy, dispatching to the
-    /// width once for the whole slice rather than once per record.
-    pub fn run_slice(&mut self, records: &[TraceRecord]) {
-        match &mut self.inner {
-            SweepDispatch::W2(sim) => sim.run_batch(records),
-            SweepDispatch::W12(sim) => sim.run_batch(records),
-        }
-    }
-
-    /// Resets all statistics and starts a fresh measurement window at the
-    /// current simulated time in every lane. Cache contents, buffer
-    /// contents and all timing state are preserved.
-    pub fn reset_measurement(&mut self) {
-        match &mut self.inner {
-            SweepDispatch::W2(sim) => sim.reset_measurement(),
-            SweepDispatch::W12(sim) => sim.reset_measurement(),
-        }
-    }
-
     /// Snapshot of the current measurement window, one [`SimResult`] per
     /// lane in construction order. Functional counters (hits, misses,
     /// traffic, buffer flow) are identical across lanes by construction;

@@ -25,15 +25,15 @@
 //! instruction fetches and stack-local data references cost a single
 //! byte each — typically 4–6× smaller than v1.
 //!
-//! [`read_binary`] reads either version transparently. This module owns
-//! the format — header, writers, zigzag and varint encoding; decoding
-//! lives in [`slice`](crate::slice), which `read_binary` calls after
-//! reading the stream into memory.
+//! This module owns the format — header, writers, zigzag and varint
+//! encoding. The one decoder for both versions is
+//! [`read_binary_slice_with`](crate::slice::read_binary_slice_with) in
+//! [`slice`](crate::slice); files reach it through
+//! [`read_trace_file`](crate::read_trace_file).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use crate::error::TraceError;
-use crate::fault::{FaultPolicy, IngestReport};
 use crate::record::{AccessKind, TraceRecord};
 
 /// The 4-byte magic at the start of every binary trace.
@@ -101,12 +101,12 @@ pub(crate) fn make_header(version: u16, count: u64) -> [u8; HEADER_LEN] {
 /// # Examples
 ///
 /// ```
-/// use mlc_trace::{binary, TraceRecord};
+/// use mlc_trace::{binary, slice, TraceRecord};
 ///
 /// let recs = vec![TraceRecord::ifetch(0x4), TraceRecord::write(0x100)];
 /// let mut buf = Vec::new();
 /// binary::write_binary(&mut buf, &recs)?;
-/// assert_eq!(binary::read_binary(buf.as_slice())?, recs);
+/// assert_eq!(slice::read_binary_slice(&buf)?, recs);
 /// # Ok::<(), mlc_trace::TraceError>(())
 /// ```
 pub fn write_binary<W: Write>(w: W, records: &[TraceRecord]) -> Result<(), TraceError> {
@@ -122,73 +122,10 @@ pub fn write_binary<W: Write>(w: W, records: &[TraceRecord]) -> Result<(), Trace
     Ok(())
 }
 
-/// Reads an entire binary trace.
-///
-/// # Errors
-///
-/// Returns [`TraceError::ParseBinary`] if the magic, version, record count
-/// or any record is malformed, or [`TraceError::Io`] on I/O failure.
-pub fn read_binary<R: Read>(reader: R) -> Result<Vec<TraceRecord>, TraceError> {
-    read_binary_with(reader, FaultPolicy::Fail, None).map(|(records, _)| records)
-}
-
-/// Reads a binary trace under a [`FaultPolicy`].
-///
-/// The stream is read to its end into memory and decoded by
-/// [`read_binary_slice_with`](crate::slice::read_binary_slice_with), so
-/// peak memory is the input bytes plus the decoded records.
-///
-/// Recoverable faults under [`FaultPolicy::Skip`] — each quarantined
-/// (as a hex-dumped sidecar line) and skipped until the budget runs
-/// out:
-///
-/// * a record with an invalid kind byte, in either version (v2 tokens
-///   frame independently of the kind bits, so the stream stays in
-///   sync);
-/// * a payload that ends before the declared record count — the missing
-///   tail counts as **one** quarantined record and sets
-///   [`IngestReport::truncated`];
-/// * trailing bytes after the final record (one quarantined record).
-///
-/// Always fatal, regardless of policy: header corruption (nothing
-/// after a bad header can be trusted), an undecodable v2 varint (the
-/// token boundary is lost, so the stream cannot be resynchronised),
-/// and genuine I/O errors.
-///
-/// # Errors
-///
-/// Under [`FaultPolicy::Fail`], exactly the errors of [`read_binary`].
-/// Under [`FaultPolicy::Skip`], [`TraceError::FaultBudget`] once the
-/// budget is exceeded, the fatal cases above, or any I/O error. An I/O
-/// error at any offset, the header included, is [`TraceError::Io`].
-///
-/// # Examples
-///
-/// ```
-/// use mlc_trace::{binary, FaultPolicy, TraceRecord};
-///
-/// let recs = vec![TraceRecord::ifetch(0x4), TraceRecord::write(0x100)];
-/// let mut buf = Vec::new();
-/// binary::write_binary(&mut buf, &recs)?;
-/// buf[16] = 7; // corrupt the first record's kind byte
-/// let (records, report) =
-///     binary::read_binary_with(buf.as_slice(), FaultPolicy::Skip { budget: 1 }, None)?;
-/// assert_eq!(records, vec![TraceRecord::write(0x100)]);
-/// assert_eq!(report.quarantined, 1);
-/// # Ok::<(), mlc_trace::TraceError>(())
-/// ```
-pub fn read_binary_with<R: Read>(
-    mut reader: R,
-    policy: FaultPolicy,
-    quarantine: Option<&mut dyn Write>,
-) -> Result<(Vec<TraceRecord>, IngestReport), TraceError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    crate::slice::read_binary_slice_with(&bytes, policy, quarantine)
-}
-
 /// Writes a trace in the delta-compressed v2 format (see module docs).
-/// Read it back with [`read_binary`], which handles both versions.
+/// Read it back with
+/// [`read_binary_slice`](crate::slice::read_binary_slice), which handles
+/// both versions.
 ///
 /// # Errors
 ///
@@ -197,14 +134,14 @@ pub fn read_binary_with<R: Read>(
 /// # Examples
 ///
 /// ```
-/// use mlc_trace::{binary, TraceRecord};
+/// use mlc_trace::{binary, slice, TraceRecord};
 ///
 /// let recs: Vec<_> = (0..1000u64).map(|i| TraceRecord::ifetch(i * 4)).collect();
 /// let mut fixed = Vec::new();
 /// binary::write_binary(&mut fixed, &recs)?;
 /// let mut packed = Vec::new();
 /// binary::write_compressed(&mut packed, &recs)?;
-/// assert_eq!(binary::read_binary(packed.as_slice())?, recs);
+/// assert_eq!(slice::read_binary_slice(&packed)?, recs);
 /// // Sequential fetches compress to ~1 byte per record.
 /// assert!(packed.len() < fixed.len() / 4);
 /// # Ok::<(), mlc_trace::TraceError>(())
@@ -263,6 +200,8 @@ fn write_varint(mut v: u64, buf: &mut [u8; 10]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPolicy, IngestReport};
+    use crate::slice::{read_binary_slice, read_binary_slice_with};
 
     fn sample() -> Vec<TraceRecord> {
         vec![
@@ -278,14 +217,14 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &recs).unwrap();
         assert_eq!(buf.len(), HEADER_LEN + RECORD_LEN * recs.len());
-        assert_eq!(read_binary(buf.as_slice()).unwrap(), recs);
+        assert_eq!(read_binary_slice(&buf).unwrap(), recs);
     }
 
     #[test]
     fn empty_round_trip() {
         let mut buf = Vec::new();
         write_binary(&mut buf, &[]).unwrap();
-        assert!(read_binary(buf.as_slice()).unwrap().is_empty());
+        assert!(read_binary_slice(&buf).unwrap().is_empty());
     }
 
     #[test]
@@ -293,7 +232,7 @@ mod tests {
         let recs = sample();
         let mut buf = Vec::new();
         write_compressed(&mut buf, &recs).unwrap();
-        assert_eq!(read_binary(buf.as_slice()).unwrap(), recs);
+        assert_eq!(read_binary_slice(&buf).unwrap(), recs);
     }
 
     #[test]
@@ -306,7 +245,7 @@ mod tests {
         write_binary(&mut fixed, &recs).unwrap();
         let mut packed = Vec::new();
         write_compressed(&mut packed, &recs).unwrap();
-        assert_eq!(read_binary(packed.as_slice()).unwrap(), recs);
+        assert_eq!(read_binary_slice(&packed).unwrap(), recs);
         assert!(
             packed.len() * 3 < fixed.len(),
             "compressed {} vs fixed {}",
@@ -319,7 +258,7 @@ mod tests {
     fn compressed_empty_round_trip() {
         let mut buf = Vec::new();
         write_compressed(&mut buf, &[]).unwrap();
-        assert!(read_binary(buf.as_slice()).unwrap().is_empty());
+        assert!(read_binary_slice(&buf).unwrap().is_empty());
     }
 
     #[test]
@@ -333,7 +272,7 @@ mod tests {
         ];
         let mut buf = Vec::new();
         write_compressed(&mut buf, &recs).unwrap();
-        assert_eq!(read_binary(buf.as_slice()).unwrap(), recs);
+        assert_eq!(read_binary_slice(&buf).unwrap(), recs);
     }
 
     #[test]
@@ -342,7 +281,7 @@ mod tests {
         let mut buf = Vec::new();
         write_compressed(&mut buf, &recs).unwrap();
         buf.truncate(buf.len() - 1);
-        assert!(read_binary(buf.as_slice()).is_err());
+        assert!(read_binary_slice(&buf).is_err());
     }
 
     #[test]
@@ -368,7 +307,7 @@ mod tests {
         let mut buf = [0u8; 10];
         for v in [0u64, 1, 127, 128, 300, 1 << 35, u64::MAX >> 5] {
             let n = write_varint(v, &mut buf);
-            let recs = read_binary(v2_token(0x80, &buf[..n]).as_slice()).unwrap();
+            let recs = read_binary_slice(&v2_token(0x80, &buf[..n])).unwrap();
             let addr = zigzag_decode(v << 5) as u64;
             assert_eq!(recs, vec![TraceRecord::read(addr)], "varint {v}");
         }
@@ -384,7 +323,7 @@ mod tests {
         write_binary(&mut buf, &sample()).unwrap();
         buf[0] = b'X';
         assert!(matches!(
-            read_binary(buf.as_slice()),
+            read_binary_slice(&buf),
             Err(TraceError::ParseBinary(_))
         ));
     }
@@ -394,7 +333,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &sample()).unwrap();
         buf[4] = 99;
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_slice(&buf).unwrap_err();
         assert!(err.to_string().contains("version"));
     }
 
@@ -403,7 +342,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &sample()).unwrap();
         buf.truncate(buf.len() - 1);
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_slice(&buf).unwrap_err();
         assert!(err.to_string().contains("truncated"));
     }
 
@@ -412,7 +351,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &sample()).unwrap();
         buf.push(0);
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_slice(&buf).unwrap_err();
         assert!(err.to_string().contains("trailing"));
     }
 
@@ -421,7 +360,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &sample()).unwrap();
         buf.extend_from_slice(&[0xaa; 7]);
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_slice(&buf).unwrap_err();
         assert!(
             err.to_string().contains("7 trailing bytes"),
             "want exact excess in the message, got: {err}"
@@ -436,7 +375,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &sample()).unwrap();
         buf[..HEADER_LEN].copy_from_slice(&make_header(VERSION, 1));
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_slice(&buf).unwrap_err();
         assert!(err.to_string().contains("18 trailing bytes"), "{err}");
     }
 
@@ -445,7 +384,7 @@ mod tests {
         let mut buf = Vec::new();
         write_compressed(&mut buf, &sample()).unwrap();
         buf[..HEADER_LEN].copy_from_slice(&make_header(VERSION_COMPRESSED, 1));
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_slice(&buf).unwrap_err();
         assert!(err.to_string().contains("trailing bytes"), "{err}");
     }
 
@@ -455,7 +394,7 @@ mod tests {
             let mut buf = Vec::new();
             write_binary(&mut buf, &sample()).unwrap();
             buf[flip] ^= 0x01;
-            let err = read_binary(buf.as_slice()).unwrap_err();
+            let err = read_binary_slice(&buf).unwrap_err();
             assert!(err.to_string().contains("header check"), "{err}");
         }
     }
@@ -467,17 +406,17 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &sample()).unwrap();
         buf[4..6].copy_from_slice(&VERSION_COMPRESSED.to_le_bytes());
-        assert!(read_binary(buf.as_slice()).is_err());
+        assert!(read_binary_slice(&buf).is_err());
 
         let mut buf = Vec::new();
         write_compressed(&mut buf, &sample()).unwrap();
         buf[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        assert!(read_binary(buf.as_slice()).is_err());
+        assert!(read_binary_slice(&buf).is_err());
     }
 
     #[test]
     fn varint_rejects_continuation_past_ten_bytes() {
-        let err = read_binary(v2_token(0x80, &[0x80u8; 11]).as_slice()).unwrap_err();
+        let err = read_binary_slice(&v2_token(0x80, &[0x80u8; 11])).unwrap_err();
         assert!(matches!(err, TraceError::ParseBinary(_)), "{err}");
         assert_eq!(
             err.to_string(),
@@ -492,7 +431,7 @@ mod tests {
         // discarded.
         let mut rest = [0x80u8; 10];
         rest[9] = 0x02;
-        let err = read_binary(v2_token(0x80, &rest).as_slice()).unwrap_err();
+        let err = read_binary_slice(&v2_token(0x80, &rest)).unwrap_err();
         assert!(matches!(err, TraceError::ParseBinary(_)), "{err}");
         assert_eq!(
             err.to_string(),
@@ -504,7 +443,7 @@ mod tests {
         // all ones: delta i64::MIN from a zero base, address 1 << 63.
         let mut max = [0xffu8; 10];
         max[9] = 0x01;
-        let recs = read_binary(v2_token(0x80 | (0x1f << 2), &max).as_slice()).unwrap();
+        let recs = read_binary_slice(&v2_token(0x80 | (0x1f << 2), &max)).unwrap();
         assert_eq!(recs, vec![TraceRecord::read(1 << 63)]);
     }
 
@@ -514,7 +453,7 @@ mod tests {
         let mut rest = [0x80u8; 11];
         rest[10] = 0x00;
         let buf = v2_token(0x80, &rest);
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_slice(&buf).unwrap_err();
         assert!(err.to_string().contains("varint"), "{err}");
     }
 
@@ -523,13 +462,13 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &sample()).unwrap();
         buf[HEADER_LEN] = 7;
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_slice(&buf).unwrap_err();
         assert!(err.to_string().contains("bad kind"));
     }
 
     #[test]
     fn rejects_truncated_header() {
-        let err = read_binary(&b"MLC"[..]).unwrap_err();
+        let err = read_binary_slice(b"MLC").unwrap_err();
         assert!(err.to_string().contains("truncated header"));
     }
 
@@ -542,7 +481,7 @@ mod tests {
         write_compressed(&mut packed, &recs).unwrap();
         for buf in [fixed, packed] {
             let (got, report) =
-                read_binary_with(buf.as_slice(), FaultPolicy::Skip { budget: 0 }, None).unwrap();
+                read_binary_slice_with(&buf, FaultPolicy::Skip { budget: 0 }, None).unwrap();
             assert_eq!(got, recs);
             assert_eq!(report, IngestReport::default());
         }
@@ -553,8 +492,8 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &sample()).unwrap();
         buf[HEADER_LEN] = 7;
-        let strict = read_binary(buf.as_slice()).unwrap_err();
-        let degraded = read_binary_with(buf.as_slice(), FaultPolicy::Fail, None).unwrap_err();
+        let strict = read_binary_slice(&buf).unwrap_err();
+        let degraded = read_binary_slice_with(&buf, FaultPolicy::Fail, None).unwrap_err();
         assert_eq!(strict.to_string(), degraded.to_string());
     }
 
@@ -564,12 +503,9 @@ mod tests {
         write_binary(&mut buf, &sample()).unwrap();
         buf[HEADER_LEN + RECORD_LEN] = 9; // record 1's kind byte
         let mut sidecar = Vec::new();
-        let (got, report) = read_binary_with(
-            buf.as_slice(),
-            FaultPolicy::Skip { budget: 1 },
-            Some(&mut sidecar),
-        )
-        .unwrap();
+        let (got, report) =
+            read_binary_slice_with(&buf, FaultPolicy::Skip { budget: 1 }, Some(&mut sidecar))
+                .unwrap();
         assert_eq!(
             got,
             vec![
@@ -589,12 +525,9 @@ mod tests {
         write_binary(&mut buf, &sample()).unwrap();
         buf.truncate(buf.len() - 4); // last record loses its tail
         let mut sidecar = Vec::new();
-        let (got, report) = read_binary_with(
-            buf.as_slice(),
-            FaultPolicy::Skip { budget: 1 },
-            Some(&mut sidecar),
-        )
-        .unwrap();
+        let (got, report) =
+            read_binary_slice_with(&buf, FaultPolicy::Skip { budget: 1 }, Some(&mut sidecar))
+                .unwrap();
         assert_eq!(
             got,
             vec![TraceRecord::ifetch(0), TraceRecord::read(u64::MAX)]
@@ -621,12 +554,9 @@ mod tests {
         write_compressed(&mut buf, &recs).unwrap();
         buf[HEADER_LEN + 1] |= 0b11;
         let mut sidecar = Vec::new();
-        let (got, report) = read_binary_with(
-            buf.as_slice(),
-            FaultPolicy::Skip { budget: 1 },
-            Some(&mut sidecar),
-        )
-        .unwrap();
+        let (got, report) =
+            read_binary_slice_with(&buf, FaultPolicy::Skip { budget: 1 }, Some(&mut sidecar))
+                .unwrap();
         assert_eq!(
             got,
             vec![
@@ -649,7 +579,7 @@ mod tests {
         write_compressed(&mut buf, &sample()).unwrap();
         buf.truncate(buf.len() - 1);
         let (got, report) =
-            read_binary_with(buf.as_slice(), FaultPolicy::Skip { budget: 1 }, None).unwrap();
+            read_binary_slice_with(&buf, FaultPolicy::Skip { budget: 1 }, None).unwrap();
         assert_eq!(got.len(), 2);
         assert!(report.truncated);
         assert_eq!(report.quarantined, 1);
@@ -661,7 +591,7 @@ mod tests {
         rest[10] = 0x00;
         let buf = v2_token(0x80, &rest);
         let err =
-            read_binary_with(buf.as_slice(), FaultPolicy::Skip { budget: 100 }, None).unwrap_err();
+            read_binary_slice_with(&buf, FaultPolicy::Skip { budget: 100 }, None).unwrap_err();
         assert!(err.to_string().contains("varint"), "{err}");
     }
 
@@ -671,12 +601,9 @@ mod tests {
         write_binary(&mut buf, &sample()).unwrap();
         buf.extend_from_slice(&[0xaa; 7]);
         let mut sidecar = Vec::new();
-        let (got, report) = read_binary_with(
-            buf.as_slice(),
-            FaultPolicy::Skip { budget: 1 },
-            Some(&mut sidecar),
-        )
-        .unwrap();
+        let (got, report) =
+            read_binary_slice_with(&buf, FaultPolicy::Skip { budget: 1 }, Some(&mut sidecar))
+                .unwrap();
         assert_eq!(got, sample());
         assert_eq!(report.quarantined, 1);
         assert_eq!(
@@ -691,8 +618,7 @@ mod tests {
         write_binary(&mut buf, &sample()).unwrap();
         buf[HEADER_LEN] = 9;
         buf[HEADER_LEN + RECORD_LEN] = 9;
-        let err =
-            read_binary_with(buf.as_slice(), FaultPolicy::Skip { budget: 1 }, None).unwrap_err();
+        let err = read_binary_slice_with(&buf, FaultPolicy::Skip { budget: 1 }, None).unwrap_err();
         assert!(matches!(err, TraceError::FaultBudget { budget: 1, .. }));
     }
 
@@ -701,16 +627,27 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &sample()).unwrap();
         buf[0] = b'X';
-        assert!(read_binary_with(buf.as_slice(), FaultPolicy::Skip { budget: 100 }, None).is_err());
+        assert!(read_binary_slice_with(&buf, FaultPolicy::Skip { budget: 100 }, None).is_err());
     }
 
     #[test]
     fn degraded_io_errors_are_fatal() {
-        use crate::fault::{FaultInjector, FaultPlan};
+        // The decoder's only I/O is the quarantine sidecar: a failed
+        // write there ends the read, whatever budget is left.
+        struct Broken;
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
         let mut buf = Vec::new();
         write_binary(&mut buf, &sample()).unwrap();
-        let injected = FaultInjector::new(buf.as_slice(), FaultPlan::io_error(20));
-        let err = read_binary_with(injected, FaultPolicy::Skip { budget: 100 }, None).unwrap_err();
+        buf[HEADER_LEN] = 9;
+        let policy = FaultPolicy::Skip { budget: 100 };
+        let err = read_binary_slice_with(&buf, policy, Some(&mut Broken)).unwrap_err();
         assert!(matches!(err, TraceError::Io(_)), "{err}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Production trace archives are not pristine: a copy truncates, a disk
 //! flips a bit, a concatenation script drops half a record. The strict
-//! readers ([`crate::din::read_din`], [`crate::binary::read_binary`])
+//! readers ([`crate::din::read_din`], [`crate::slice::read_binary_slice`])
 //! fail on the first malformed record — correct for provenance, fatal
 //! for a sweep that only needs 99.999% of a billion references. This
 //! module supplies the middle ground:
@@ -15,11 +15,14 @@
 //!   ended early.
 //! * [`FaultInjector`] / [`FaultPlan`] — a [`Read`] adapter that
 //!   injects bit-flips, truncation, and mid-stream I/O errors at
-//!   configurable byte offsets, so every reader's failure behaviour is
-//!   testable without hand-crafting corrupt files.
+//!   configurable byte offsets, so the streaming din reader's failure
+//!   behaviour is testable without hand-crafting corrupt files. The
+//!   binary decoder takes a byte slice, which its tests damage directly.
 //!
-//! What is *recoverable* is format-specific (see `read_din_with` /
-//! `read_binary_with` in the format modules): malformed din lines and
+//! What is *recoverable* is format-specific (see
+//! [`read_din_with`](crate::din::read_din_with) and
+//! [`read_binary_slice_with`](crate::slice::read_binary_slice_with)):
+//! malformed din lines and
 //! bad v1/v2 record kinds are skippable because the surrounding records
 //! still frame correctly; header corruption and undecodable v2 varints
 //! are always fatal because nothing after them can be trusted.

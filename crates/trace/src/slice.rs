@@ -1,20 +1,16 @@
-//! Binary trace decoding over in-memory byte slices.
+//! The binary trace decoder, over an in-memory byte slice.
 //!
 //! This is the one decoder for both binary layouts (see
 //! [`binary`](crate::binary) for the format). It walks a `&[u8]` — a
 //! full-buffer file read, an mmap, a network body — directly: no copies
 //! into intermediate record buffers, bounds checks amortized per token,
-//! and the v1 fixed-width payload decoded block-wise. The `Read` entry
-//! points [`read_binary`](crate::binary::read_binary) /
-//! [`read_binary_with`](crate::binary::read_binary_with) read their
-//! stream to the end and call [`read_binary_slice_with`].
+//! and the v1 fixed-width payload decoded block-wise. Trace files reach
+//! it through [`read_trace_file`](crate::read_trace_file), which reads
+//! the file into memory with one `std::fs::read`.
 //!
-//! Entry points:
-//!
-//! * [`read_binary_slice`] / [`read_binary_slice_with`] — decode a
-//!   whole trace, strictly or under a [`FaultPolicy`].
-//! * [`SliceRecords`] — a strict streaming iterator for pipelines that
-//!   want records without materializing a `Vec<TraceRecord>`.
+//! Entry points: [`read_binary_slice_with`] decodes a whole trace under
+//! a [`FaultPolicy`]; [`read_binary_slice`] is its strict
+//! ([`FaultPolicy::Fail`]) form.
 
 use std::io::Write;
 
@@ -130,14 +126,31 @@ pub fn read_binary_slice(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
 }
 
 /// Reads a binary trace from an in-memory slice under a
-/// [`FaultPolicy`]. Which faults are recoverable and which are fatal is
-/// documented on [`read_binary_with`](crate::binary::read_binary_with),
-/// which reads its stream into memory and calls this.
+/// [`FaultPolicy`].
+///
+/// Recoverable faults under [`FaultPolicy::Skip`] — each quarantined
+/// (as a hex-dumped sidecar line) and skipped until the budget runs
+/// out:
+///
+/// * a record with an invalid kind byte, in either version (v2 tokens
+///   frame independently of the kind bits, so the stream stays in
+///   sync);
+/// * a payload that ends before the declared record count — the missing
+///   tail counts as **one** quarantined record and sets
+///   [`IngestReport::truncated`];
+/// * trailing bytes after the final record (one quarantined record).
+///
+/// Always fatal, regardless of policy: header corruption (nothing
+/// after a bad header can be trusted) and an undecodable v2 varint (the
+/// token boundary is lost, so the stream cannot be resynchronised).
 ///
 /// # Errors
 ///
-/// Exactly as [`read_binary_with`](crate::binary::read_binary_with),
-/// except that slices cannot raise I/O errors.
+/// Under [`FaultPolicy::Fail`], exactly the errors of
+/// [`read_binary_slice`]. Under [`FaultPolicy::Skip`],
+/// [`TraceError::FaultBudget`] once the budget is exceeded, the fatal
+/// cases above as [`TraceError::ParseBinary`], or [`TraceError::Io`] if
+/// writing a quarantine line fails.
 ///
 /// # Examples
 ///
@@ -263,138 +276,10 @@ pub fn read_binary_slice_with(
     Ok((out, report))
 }
 
-/// A strict streaming iterator over a binary trace slice: yields each
-/// record without materializing a `Vec<TraceRecord>`, for single-pass
-/// consumers (statistics, digests, filters).
-///
-/// The header is validated at construction; record-level damage
-/// surfaces as an `Err` item with the same message the strict
-/// [`read_binary_slice`] would return, after which the iterator fuses.
-/// Trailing bytes after the declared final record yield one final
-/// `Err`.
-///
-/// # Examples
-///
-/// ```
-/// use mlc_trace::{binary, slice::SliceRecords, TraceRecord};
-///
-/// let recs = vec![TraceRecord::read(0x10), TraceRecord::read(0x20)];
-/// let mut buf = Vec::new();
-/// binary::write_compressed(&mut buf, &recs)?;
-/// let streamed: Result<Vec<_>, _> = SliceRecords::new(&buf)?.collect();
-/// assert_eq!(streamed?, recs);
-/// # Ok::<(), mlc_trace::TraceError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct SliceRecords<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    version: u16,
-    count: usize,
-    emitted: usize,
-    last: [u64; KIND_SLOTS],
-    fused: bool,
-}
-
-impl<'a> SliceRecords<'a> {
-    /// Validates the header and positions the iterator at the first
-    /// record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::ParseBinary`] for a truncated or corrupt
-    /// header, with the same messages as [`read_binary_slice`].
-    pub fn new(bytes: &'a [u8]) -> Result<Self, TraceError> {
-        let header = parse_header(bytes)?;
-        Ok(SliceRecords {
-            bytes,
-            pos: HEADER_LEN,
-            version: header.version,
-            count: header.count,
-            emitted: 0,
-            last: [0u64; KIND_SLOTS],
-            fused: false,
-        })
-    }
-
-    /// The record count the header declares.
-    pub fn declared_records(&self) -> usize {
-        self.count
-    }
-
-    fn fail(&mut self, msg: String) -> Option<Result<TraceRecord, TraceError>> {
-        self.fused = true;
-        Some(Err(TraceError::ParseBinary(msg)))
-    }
-}
-
-impl Iterator for SliceRecords<'_> {
-    type Item = Result<TraceRecord, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.fused {
-            return None;
-        }
-        if self.emitted == self.count {
-            let trailing = self.bytes.len() - self.pos;
-            self.fused = true;
-            if trailing > 0 {
-                return Some(Err(TraceError::ParseBinary(format!(
-                    "{trailing} trailing bytes after final record"
-                ))));
-            }
-            return None;
-        }
-        let i = self.emitted;
-        if self.version == VERSION {
-            let Some(rec) = self.bytes.get(self.pos..self.pos + RECORD_LEN) else {
-                return self.fail(format!("truncated at record {i}"));
-            };
-            self.pos += RECORD_LEN;
-            let Some(kind) = AccessKind::from_din_label(rec[0]) else {
-                return self.fail(format!("bad kind {} at record {i}", rec[0]));
-            };
-            let mut addr_bytes = [0u8; 8];
-            addr_bytes.copy_from_slice(&rec[1..9]);
-            self.emitted += 1;
-            Some(Ok(TraceRecord::new(
-                kind,
-                Address::new(u64::from_le_bytes(addr_bytes)),
-            )))
-        } else {
-            match decode_token(self.bytes, self.pos) {
-                Token::Truncated(_) => self.fail(format!("truncated at record {i}")),
-                Token::Invalid(what) => self.fail(format!("{what} at record {i}")),
-                Token::Complete(label, zigzag, len) => {
-                    self.pos += len;
-                    let Some(kind) = AccessKind::from_din_label(label) else {
-                        return self.fail(format!("bad kind {label} at record {i}"));
-                    };
-                    let delta = zigzag_decode(zigzag);
-                    let slot = label as usize;
-                    let addr = self.last[slot].wrapping_add(delta as u64);
-                    self.last[slot] = addr;
-                    self.emitted += 1;
-                    Some(Ok(TraceRecord::new(kind, Address::new(addr))))
-                }
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        if self.fused {
-            return (0, Some(0));
-        }
-        let left = self.count - self.emitted;
-        // +1 for a possible trailing-bytes error item.
-        (0, Some(left + 1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::{read_binary, write_binary, write_compressed};
+    use crate::binary::{write_binary, write_compressed};
 
     fn sample() -> Vec<TraceRecord> {
         vec![
@@ -415,11 +300,6 @@ mod tests {
                 write_binary(&mut buf, &recs).unwrap();
             }
             assert_eq!(read_binary_slice(&buf).unwrap(), recs);
-            let streamed: Vec<_> = SliceRecords::new(&buf)
-                .unwrap()
-                .collect::<Result<_, _>>()
-                .unwrap();
-            assert_eq!(streamed, recs);
         }
     }
 
@@ -428,7 +308,6 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &[]).unwrap();
         assert!(read_binary_slice(&buf).unwrap().is_empty());
-        assert_eq!(SliceRecords::new(&buf).unwrap().count(), 0);
     }
 
     #[test]
@@ -476,40 +355,9 @@ mod tests {
                 let mut buf = clean.clone();
                 mutate(&mut buf);
                 let want = format!("malformed binary trace: {want}");
-                let via_slice = read_binary_slice(&buf).unwrap_err();
-                assert_eq!(via_slice.to_string(), want, "packed={packed}");
-                let via_read = read_binary(buf.as_slice()).unwrap_err();
-                assert_eq!(via_read.to_string(), want, "packed={packed}");
+                let err = read_binary_slice(&buf).unwrap_err();
+                assert_eq!(err.to_string(), want, "packed={packed}");
             }
         }
-    }
-
-    #[test]
-    fn streaming_iterator_reports_trailing_bytes() {
-        let mut buf = Vec::new();
-        write_binary(&mut buf, &sample()).unwrap();
-        buf.extend_from_slice(&[0xaa; 7]);
-        let items: Vec<_> = SliceRecords::new(&buf).unwrap().collect();
-        assert_eq!(items.len(), sample().len() + 1);
-        let err = items.last().unwrap().as_ref().unwrap_err();
-        assert!(err.to_string().contains("7 trailing bytes"), "{err}");
-    }
-
-    #[test]
-    fn streaming_iterator_fuses_after_error() {
-        let mut buf = Vec::new();
-        write_binary(&mut buf, &sample()).unwrap();
-        buf[HEADER_LEN] = 9;
-        let mut it = SliceRecords::new(&buf).unwrap();
-        assert!(it.next().unwrap().is_err());
-        assert!(it.next().is_none());
-        assert!(it.next().is_none());
-    }
-
-    #[test]
-    fn declared_records_reports_header_count() {
-        let mut buf = Vec::new();
-        write_compressed(&mut buf, &sample()).unwrap();
-        assert_eq!(SliceRecords::new(&buf).unwrap().declared_records(), 3);
     }
 }

@@ -7,7 +7,8 @@
 //! framework (the workspace has no external dependencies); a failure
 //! message names the case number so it can be replayed.
 
-use mlc_trace::binary::{read_binary, write_binary, write_compressed};
+use mlc_trace::binary::{write_binary, write_compressed};
+use mlc_trace::slice::read_binary_slice;
 use mlc_trace::synth::Xoshiro;
 use mlc_trace::{AccessKind, TraceRecord};
 
@@ -48,7 +49,7 @@ fn fixed_width_round_trips_arbitrary_records() {
         let recs = arbitrary_records(&mut rng_for_case(case));
         let mut buf = Vec::new();
         write_binary(&mut buf, &recs).unwrap_or_else(|e| panic!("case {case}: write: {e}"));
-        let back = read_binary(buf.as_slice()).unwrap_or_else(|e| panic!("case {case}: read: {e}"));
+        let back = read_binary_slice(&buf).unwrap_or_else(|e| panic!("case {case}: read: {e}"));
         assert_eq!(back, recs, "case {case}: v1 round trip");
     }
 }
@@ -59,7 +60,7 @@ fn compressed_round_trips_arbitrary_records() {
         let recs = arbitrary_records(&mut rng_for_case(0x5EED ^ case));
         let mut buf = Vec::new();
         write_compressed(&mut buf, &recs).unwrap_or_else(|e| panic!("case {case}: write: {e}"));
-        let back = read_binary(buf.as_slice()).unwrap_or_else(|e| panic!("case {case}: read: {e}"));
+        let back = read_binary_slice(&buf).unwrap_or_else(|e| panic!("case {case}: read: {e}"));
         assert_eq!(back, recs, "case {case}: v2 round trip");
     }
 }
@@ -86,7 +87,7 @@ fn every_mutated_header_byte_errors() {
                     let mut bad = buf.clone();
                     bad[idx] = mutation;
                     assert!(
-                        read_binary(bad.as_slice()).is_err(),
+                        read_binary_slice(&bad).is_err(),
                         "case {case} compressed={compressed}: header byte {idx} \
                          {:#04x} -> {mutation:#04x} was accepted",
                         buf[idx]
@@ -116,14 +117,14 @@ fn every_truncation_errors() {
             }
             for len in 0..HEADER_LEN {
                 assert!(
-                    read_binary(&buf[..len]).is_err(),
+                    read_binary_slice(&buf[..len]).is_err(),
                     "case {case} compressed={compressed}: {len}-byte header prefix accepted"
                 );
             }
             // A non-empty payload truncated anywhere must also fail.
             for len in [buf.len() - 1, HEADER_LEN + (buf.len() - HEADER_LEN) / 2] {
                 assert!(
-                    read_binary(&buf[..len]).is_err(),
+                    read_binary_slice(&buf[..len]).is_err(),
                     "case {case} compressed={compressed}: truncation to {len} bytes accepted"
                 );
             }
@@ -149,7 +150,7 @@ fn trailing_garbage_always_errors() {
             for _ in 0..extra {
                 buf.push(rng.next_u64() as u8);
             }
-            let err = read_binary(buf.as_slice()).unwrap_err();
+            let err = read_binary_slice(&buf).unwrap_err();
             assert!(
                 err.to_string().contains("trailing"),
                 "case {case} compressed={compressed}: {err}"

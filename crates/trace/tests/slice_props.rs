@@ -2,14 +2,11 @@
 //! truncations, bit-flips and trailing garbage of both binary layouts,
 //! under three fault policies, the decoder must return exactly the
 //! outcome the format dictates — records, error strings, quarantine
-//! sidecars and ingest reports — through both the slice entry point and
-//! the `Read` entry point. Expected outcomes are derived from the
-//! encoder's record boundaries, never from the decoder under test. The
-//! streaming iterator must match the bulk decoder under the strict
-//! policy too.
+//! sidecars and ingest reports. Expected outcomes are derived from the
+//! encoder's record boundaries, never from the decoder under test.
 
-use mlc_trace::binary::{read_binary_with, write_binary, write_compressed};
-use mlc_trace::slice::{read_binary_slice_with, SliceRecords};
+use mlc_trace::binary::{write_binary, write_compressed};
+use mlc_trace::slice::read_binary_slice_with;
 use mlc_trace::{FaultPolicy, TraceRecord};
 
 /// A small but representative trace: all three kinds, delta extremes.
@@ -66,24 +63,18 @@ type Outcome = (
     String, // quarantine sidecar contents
 );
 
-/// Decodes through the `Read` entry point or the slice entry point.
-fn decode(bytes: &[u8], policy: FaultPolicy, via_read: bool) -> Outcome {
+/// Decodes `bytes` under `policy`, capturing the quarantine sidecar.
+fn decode(bytes: &[u8], policy: FaultPolicy) -> Outcome {
     let mut sidecar = Vec::new();
-    let result = if via_read {
-        read_binary_with(bytes, policy, Some(&mut sidecar))
-    } else {
-        read_binary_slice_with(bytes, policy, Some(&mut sidecar))
-    };
-    let result = result
+    let result = read_binary_slice_with(bytes, policy, Some(&mut sidecar))
         .map(|(recs, report)| (recs, report.quarantined, report.truncated))
         .map_err(|e| e.to_string());
     (result, String::from_utf8(sidecar).unwrap())
 }
 
-/// Both entry points must produce exactly `expected` on `bytes`.
+/// The decoder must produce exactly `expected` on `bytes`.
 fn assert_outcome(context: &str, bytes: &[u8], policy: FaultPolicy, expected: &Outcome) {
-    assert_eq!(&decode(bytes, policy, false), expected, "{context} (slice)");
-    assert_eq!(&decode(bytes, policy, true), expected, "{context} (read)");
+    assert_eq!(&decode(bytes, policy), expected, "{context}");
 }
 
 fn parse_error(reason: &str) -> Outcome {
@@ -152,10 +143,10 @@ fn bit_flips_at_every_offset_are_identical() {
                 let mut flipped = bytes.clone();
                 flipped[offset] ^= mask;
                 let context = format!("{name} flip {mask:#x} at {offset}");
-                let (strict, strict_sidecar) = decode(&flipped, FaultPolicy::Fail, false);
+                let (strict, strict_sidecar) = decode(&flipped, FaultPolicy::Fail);
                 assert!(strict_sidecar.is_empty(), "{context}: strict sidecar");
                 for policy in &POLICIES[1..] {
-                    let (out, sidecar) = decode(&flipped, *policy, false);
+                    let (out, sidecar) = decode(&flipped, *policy);
                     match out {
                         Ok((recs, quarantined, _)) => {
                             assert_eq!(
@@ -202,38 +193,6 @@ fn trailing_garbage_is_identical() {
                     &expected,
                 );
             }
-        }
-    }
-}
-
-/// Drains a streaming iterator the way a strict consumer would: records
-/// until the first error, which ends the stream.
-fn drain(bytes: &[u8]) -> Result<Vec<TraceRecord>, String> {
-    let mut records = Vec::new();
-    for item in SliceRecords::new(bytes).map_err(|e| e.to_string())? {
-        records.push(item.map_err(|e| e.to_string())?);
-    }
-    Ok(records)
-}
-
-#[test]
-fn streaming_iterator_matches_strict_bulk_decode() {
-    for (name, bytes) in encodings() {
-        // Clean, truncated at every offset, and bit-flipped payloads
-        // must all stream to the same outcome as the strict bulk read.
-        let mut cases: Vec<Vec<u8>> = vec![bytes.clone()];
-        for cut in 0..bytes.len() {
-            cases.push(bytes[..cut].to_vec());
-        }
-        for offset in 0..bytes.len() {
-            let mut flipped = bytes.clone();
-            flipped[offset] ^= 0x80;
-            cases.push(flipped);
-        }
-        for (i, case) in cases.iter().enumerate() {
-            let (bulk, _) = decode(case, FaultPolicy::Fail, false);
-            let bulk = bulk.map(|(recs, _, _)| recs);
-            assert_eq!(drain(case), bulk, "{name}: case {i} diverges");
         }
     }
 }

@@ -17,7 +17,7 @@
 //! * A block is *persistent* when at every one of its accesses the
 //!   persistence pre-state age is below ⊤ (= ways): it can miss at most
 //!   once across all loop iterations, i.e. first-miss. The
-//!   [`SetFootprint`](mlc_core::SetFootprint) seed handles the common
+//!   [`SetFootprint`] seed handles the common
 //!   trivial case (a set whose whole footprint fits its ways) without
 //!   any fixpoint at all.
 

@@ -5,7 +5,6 @@
 //! Run with `cargo run --release --example trace_file_sim [trace.din]`.
 
 use std::fs::File;
-use std::io::BufReader;
 use std::path::Path;
 
 use mlc::sim::{machine, simulate};
@@ -39,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 std::fs::metadata(&bin_path)?.len(),
             );
 
-            let from_din = din::read_din(BufReader::new(File::open(&din_path)?))?;
-            let from_bin = binary::read_binary(BufReader::new(File::open(&bin_path)?))?;
+            let from_din = read_trace_file(&din_path, FaultPolicy::Fail)?.0;
+            let from_bin = read_trace_file(&bin_path, FaultPolicy::Fail)?.0;
             assert_eq!(from_din, records, "din round trip must be lossless");
             assert_eq!(from_bin, records, "binary round trip must be lossless");
             from_din

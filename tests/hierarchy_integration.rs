@@ -209,7 +209,7 @@ fn trace_files_simulate_identically_to_memory() {
 
     let mut bin_bytes = Vec::new();
     mlc::trace::binary::write_binary(&mut bin_bytes, &trace).unwrap();
-    let from_bin = mlc::trace::binary::read_binary(Cursor::new(&bin_bytes)).unwrap();
+    let from_bin = mlc::trace::slice::read_binary_slice(&bin_bytes).unwrap();
 
     let direct = simulate(base_machine(), trace).unwrap();
     let via_din = simulate(base_machine(), from_din).unwrap();

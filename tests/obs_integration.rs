@@ -142,10 +142,10 @@ fn trace_digest_is_content_sensitive_and_format_insensitive() {
     // on-disk format leaves it unchanged.
     let mut fixed = Vec::new();
     mlc_trace::binary::write_binary(&mut fixed, &trace).unwrap();
-    let from_fixed = mlc_trace::binary::read_binary(fixed.as_slice()).unwrap();
+    let from_fixed = mlc_trace::slice::read_binary_slice(&fixed).unwrap();
     let mut compressed = Vec::new();
     mlc_trace::binary::write_compressed(&mut compressed, &trace).unwrap();
-    let from_compressed = mlc_trace::binary::read_binary(compressed.as_slice()).unwrap();
+    let from_compressed = mlc_trace::slice::read_binary_slice(&compressed).unwrap();
     assert_eq!(digest_records_hex(&from_fixed), digest_records_hex(&trace));
     assert_eq!(
         digest_records_hex(&from_compressed),

@@ -10,7 +10,7 @@ use mlc::cache::{ByteSize, Cache, CacheConfig, Replacement};
 use mlc::sim::machine::BaseMachine;
 use mlc::sim::simulate;
 use mlc::trace::synth::{RankedList, StackDepthDistribution, Xoshiro};
-use mlc::trace::{binary, din, AccessKind, Address, TraceRecord};
+use mlc::trace::{binary, din, slice, AccessKind, Address, TraceRecord};
 
 /// Runs `f` once per case with an independently seeded generator,
 /// reporting the failing case number before propagating the panic.
@@ -73,7 +73,7 @@ fn binary_round_trips() {
         let records = rand_records(rng, 200);
         let mut buf = Vec::new();
         binary::write_binary(&mut buf, &records).unwrap();
-        assert_eq!(binary::read_binary(buf.as_slice()).unwrap(), records);
+        assert_eq!(slice::read_binary_slice(&buf).unwrap(), records);
     });
 }
 
