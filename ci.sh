@@ -32,6 +32,13 @@ cargo build --workspace --release --offline
 echo "==> perfbench build (--locked)"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+# The benchmark's reduced self-test: every workload, untraced and
+# traced, must end in a correct result line. It reuses the release
+# build above, so an mlc-sweep or mlc-serve change that breaks the
+# benchmark's correctness checks fails here, before the later gates.
+echo "==> perfbench self-test"
+CARGO_TARGET_DIR=target bash perfbench/run.sh --self-test
+
 # Broken intra-doc links fail the build, so a deleted or private name
 # cannot linger in the docs. --lib: the mlc-serve binary's docs would
 # collide with the mlc_serve library's.

@@ -29,8 +29,7 @@ pub fn records() -> usize {
 
 /// Records excluded from statistics at the head of each trace.
 pub fn warmup(records: usize) -> usize {
-    let frac: f64 = env_parse("MLC_WARMUP_FRAC", 0.5);
-    (records as f64 * frac.clamp(0.0, 0.95)) as usize
+    mlc_core::warmup_records(records, env_parse("MLC_WARMUP_FRAC", 0.5))
 }
 
 /// Base seed for workload generation.

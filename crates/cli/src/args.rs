@@ -221,42 +221,6 @@ pub fn parse_size_range(text: &str) -> Result<Vec<u64>, ArgError> {
     }
 }
 
-/// Parses a flag value against a closed set of named choices, returning
-/// the mapped value and, on failure, an error that lists every valid
-/// spelling.
-///
-/// # Errors
-///
-/// Returns an [`ArgError`] naming the flag and the valid choices.
-///
-/// # Examples
-///
-/// ```
-/// use mlc_cli::args::parse_choice;
-///
-/// let mode = parse_choice("mode", "fast", &[("fast", 1), ("slow", 2)]).unwrap();
-/// assert_eq!(mode, 1);
-/// let err = parse_choice::<i32>("mode", "warp", &[("fast", 1), ("slow", 2)]).unwrap_err();
-/// assert!(err.to_string().contains("fast, slow"));
-/// ```
-pub fn parse_choice<T: Clone>(
-    flag: &str,
-    value: &str,
-    choices: &[(&str, T)],
-) -> Result<T, ArgError> {
-    choices
-        .iter()
-        .find(|(name, _)| *name == value)
-        .map(|(_, v)| v.clone())
-        .ok_or_else(|| {
-            let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
-            ArgError(format!(
-                "invalid value {value:?} for --{flag} (choices: {})",
-                names.join(", ")
-            ))
-        })
-}
-
 /// Parses an inclusive integer range `LO:HI` (or single value).
 ///
 /// # Errors
@@ -380,16 +344,6 @@ mod tests {
         assert_eq!(parse_size_range("4K").unwrap(), vec![4096]);
         assert!(parse_size_range("3K:8K").is_err());
         assert!(parse_size_range("32K:8K").is_err());
-    }
-
-    #[test]
-    fn choices() {
-        let table = [("exhaustive", 0u8), ("onepass", 1u8)];
-        assert_eq!(parse_choice("engine", "onepass", &table).unwrap(), 1);
-        assert_eq!(parse_choice("engine", "exhaustive", &table).unwrap(), 0);
-        let err = parse_choice::<u8>("engine", "fast", &table).unwrap_err();
-        assert!(err.to_string().contains("--engine"));
-        assert!(err.to_string().contains("exhaustive, onepass"));
     }
 
     #[test]

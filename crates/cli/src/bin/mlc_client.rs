@@ -62,13 +62,13 @@ mod unix {
     use std::path::PathBuf;
     use std::time::Duration;
 
-    use mlc_cli::args::{parse_int_range, parse_size, parse_size_range, Args, Flag};
+    use mlc_cli::args::{Args, Flag};
     use mlc_obs::json::JsonValue;
     use mlc_obs::Log2Histogram;
     use mlc_serve::{Event, Request, SubmitRequest, PROTO};
 
     fn flags() -> Vec<Flag> {
-        vec![
+        let mut flags = vec![
             Flag {
                 name: "socket",
                 value: "PATH",
@@ -84,36 +84,10 @@ mod unix {
                 value: "PATH",
                 help: "submit: input trace, as a path the *server* can read",
             },
-            Flag {
-                name: "sizes",
-                value: "LO:HI",
-                help: "submit: L2 size range, powers of two (default 16K:4M)",
-            },
-            Flag {
-                name: "cycles",
-                value: "LO:HI",
-                help: "submit: L2 cycle-time range in CPU cycles (default 1:10)",
-            },
-            Flag {
-                name: "ways",
-                value: "W",
-                help: "submit: L2 associativity (default 1)",
-            },
-            Flag {
-                name: "l1",
-                value: "SIZE",
-                help: "submit: combined split-L1 size (default 4K)",
-            },
-            Flag {
-                name: "warmup-frac",
-                value: "F",
-                help: "submit: fraction of the trace excluded from statistics (default 0.25)",
-            },
-            Flag {
-                name: "engine",
-                value: "NAME",
-                help: "submit: grid engine, onepass (default) or exhaustive",
-            },
+        ];
+        // The submit job's grid, with mlc-sweep's flags and defaults.
+        flags.extend(mlc_cli::grid_flags());
+        flags.extend([
             Flag {
                 name: "no-wait",
                 value: "",
@@ -179,7 +153,8 @@ mod unix {
                 value: "",
                 help: "stall: write half a request before stalling",
             },
-        ]
+        ]);
+        flags
     }
 
     /// A client-side failure, split by whether a fresh attempt against
@@ -328,23 +303,18 @@ mod unix {
         let deadline_ms: u64 = args
             .get_or("deadline-ms", 0u64)
             .map_err(|e| CErr::fatal(e.to_string()))?;
+        let (job, warmup_frac) =
+            mlc_cli::parse_grid(args).map_err(|e| CErr::fatal(e.to_string()))?;
         let request = SubmitRequest {
             trace: args
                 .require::<PathBuf>("trace")
                 .map_err(|e| CErr::fatal(e.to_string()))?,
-            l1_bytes: parse_size(args.get("l1").unwrap_or("4K"))
-                .map_err(|e| CErr::fatal(e.to_string()))?,
-            ways: args
-                .get_or("ways", 1)
-                .map_err(|e| CErr::fatal(e.to_string()))?,
-            sizes: parse_size_range(args.get("sizes").unwrap_or("16K:4M"))
-                .map_err(|e| CErr::fatal(e.to_string()))?,
-            cycles: parse_int_range(args.get("cycles").unwrap_or("1:10"))
-                .map_err(|e| CErr::fatal(e.to_string()))?,
-            engine: args.get("engine").unwrap_or("onepass").to_string(),
-            warmup_frac: args
-                .get_or("warmup-frac", 0.25)
-                .map_err(|e| CErr::fatal(e.to_string()))?,
+            l1_bytes: job.l1().get(),
+            ways: u64::from(job.ways()),
+            sizes: job.sizes().iter().map(|s| s.get()).collect(),
+            cycles: job.cycles().to_vec(),
+            engine: job.engine().to_string(),
+            warmup_frac,
             wait: !args.has("no-wait"),
             deadline_ms,
             // A client-minted id makes the trace end-to-end: the same

@@ -9,8 +9,8 @@ use std::collections::BTreeSet;
 use std::io;
 use std::sync::{Mutex, PoisonError};
 
-use mlc_cache::{ByteSize, CacheConfig};
-use mlc_obs::{Metrics, Progress};
+use mlc_cache::{ByteSize, CacheConfig, ConfigError};
+use mlc_obs::{JournalHeader, Metrics, Progress};
 use mlc_sim::machine::BaseMachine;
 use mlc_sim::{
     simulate_timing_sweep, simulate_with_warmup, simulate_with_warmup_observed, solo,
@@ -558,19 +558,193 @@ pub fn validate_grid(
     ways: u32,
 ) -> Result<HierarchyConfig, String> {
     let mut first = None;
-    for &size in sizes {
-        for &c in cycles {
+    for (size, c, config) in grid_points(l1, sizes, cycles, ways) {
+        let config =
+            config.map_err(|e| format!("invalid grid point [L2 {size}, {c} cycles]: {e}"))?;
+        first.get_or_insert(config);
+    }
+    first.ok_or_else(|| "empty grid: need at least one size and one cycle time".into())
+}
+
+/// Every point's machine of an L2 grid on the base machine with an `l1`
+/// split L1, size-major, with its L2 size and cycle time.
+fn grid_points<'a>(
+    l1: ByteSize,
+    sizes: &'a [ByteSize],
+    cycles: &'a [u64],
+    ways: u32,
+) -> impl Iterator<Item = (ByteSize, u64, Result<HierarchyConfig, ConfigError>)> + 'a {
+    sizes.iter().flat_map(move |&size| {
+        cycles.iter().map(move |&c| {
             let config = BaseMachine::new()
                 .l1_total(l1)
                 .l2_total(size)
                 .l2_cycles(c)
                 .l2_ways(ways)
-                .build()
-                .map_err(|e| format!("invalid grid point [L2 {size}, {c} cycles]: {e}"))?;
-            first.get_or_insert(config);
+                .build();
+            (size, c, config)
+        })
+    })
+}
+
+/// The leading records that warm the caches up: `warmup_frac` of
+/// `records`, clamped to at most 95%.
+pub fn warmup_records(records: usize, warmup_frac: f64) -> usize {
+    (records as f64 * warmup_frac.clamp(0.0, 0.95)) as usize
+}
+
+/// One sweep job, validated: the engine, the split-L1 size, and the L2
+/// (size × cycle time) points at one associativity. `mlc-sweep` parses
+/// its flags into one; `mlc-serve` builds one from each submission and
+/// rebuilds one from each journal header; so all of them agree on what
+/// a job is, and every grid point is known to build.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GridSpec {
+    engine: SweepEngine,
+    l1: ByteSize,
+    sizes: Vec<ByteSize>,
+    cycles: Vec<u64>,
+    ways: u32,
+}
+
+impl GridSpec {
+    /// Checks every grid point with [`validate_grid`].
+    ///
+    /// # Errors
+    ///
+    /// The [`validate_grid`] error for an empty grid or an invalid point.
+    pub fn new(
+        engine: SweepEngine,
+        l1: ByteSize,
+        sizes: Vec<ByteSize>,
+        cycles: Vec<u64>,
+        ways: u32,
+    ) -> Result<GridSpec, String> {
+        validate_grid(l1, &sizes, &cycles, ways)?;
+        Ok(GridSpec {
+            engine,
+            l1,
+            sizes,
+            cycles,
+            ways,
+        })
+    }
+
+    /// [`GridSpec::new`] from the form a submission or a journal header
+    /// carries: the engine's name, sizes in bytes and a `u64`
+    /// associativity.
+    ///
+    /// # Errors
+    ///
+    /// An unknown engine, an associativity that overflows `u32`, or a
+    /// [`validate_grid`] error, checked in that order.
+    pub fn from_raw(
+        engine: &str,
+        l1_bytes: u64,
+        sizes: &[u64],
+        cycles: &[u64],
+        ways: u64,
+    ) -> Result<GridSpec, String> {
+        let engine: SweepEngine = engine.parse()?;
+        let ways = u32::try_from(ways).map_err(|_| format!("ways {ways} overflows u32"))?;
+        let (l1, sizes) = (
+            ByteSize::new(l1_bytes),
+            sizes.iter().map(|&s| ByteSize::new(s)),
+        );
+        GridSpec::new(engine, l1, sizes.collect(), cycles.to_vec(), ways)
+    }
+
+    /// The grid a journal header records.
+    ///
+    /// # Errors
+    ///
+    /// As [`GridSpec::from_raw`].
+    pub fn from_header(header: &JournalHeader) -> Result<GridSpec, String> {
+        GridSpec::from_raw(
+            &header.engine,
+            header.l1_bytes,
+            &header.sizes,
+            &header.cycles,
+            header.ways,
+        )
+    }
+
+    /// The journal header of this job over a trace with content digest
+    /// `trace_digest` and `warmup` warm-up records (see
+    /// [`warmup_records`]).
+    pub fn header(
+        &self,
+        trace_digest: String,
+        warmup: usize,
+        trace_id: Option<String>,
+    ) -> JournalHeader {
+        JournalHeader {
+            trace_digest,
+            engine: self.engine.to_string(),
+            l1_bytes: self.l1.get(),
+            warmup: warmup as u64,
+            ways: u64::from(self.ways),
+            sizes: self.sizes.iter().map(|s| s.get()).collect(),
+            cycles: self.cycles.clone(),
+            trace_id,
         }
     }
-    first.ok_or_else(|| "empty grid: need at least one size and one cycle time".into())
+
+    /// The sweep engine.
+    pub fn engine(&self) -> SweepEngine {
+        self.engine
+    }
+
+    /// The combined split-L1 size.
+    pub fn l1(&self) -> ByteSize {
+        self.l1
+    }
+
+    /// The swept L2 sizes.
+    pub fn sizes(&self) -> &[ByteSize] {
+        &self.sizes
+    }
+
+    /// The swept L2 cycle times, in CPU cycles.
+    pub fn cycles(&self) -> &[u64] {
+        &self.cycles
+    }
+
+    /// The L2 associativity.
+    pub fn ways(&self) -> u32 {
+        self.ways
+    }
+
+    /// Every grid point's machine with its L2 size and cycle time,
+    /// size-major.
+    pub fn points(&self) -> impl Iterator<Item = (ByteSize, u64, HierarchyConfig)> + '_ {
+        grid_points(self.l1, &self.sizes, &self.cycles, self.ways)
+            .map(|(size, c, config)| (size, c, config.expect("validated grid points build")))
+    }
+
+    /// The base machine with this job's L1.
+    pub fn base(&self) -> BaseMachine {
+        let mut base = BaseMachine::new();
+        base.l1_total(self.l1);
+        base
+    }
+
+    /// Runs the job through [`Explorer::l2_grid_checkpointed`]:
+    /// computes the rows `completed` lacks and hands each to `append`.
+    pub fn run<A>(&self, explorer: &Explorer, completed: Vec<GridRow>, append: A) -> GridRun
+    where
+        A: FnMut(&GridRow) -> io::Result<()> + Send,
+    {
+        explorer.l2_grid_checkpointed(
+            self.engine,
+            &self.base(),
+            &self.sizes,
+            &self.cycles,
+            self.ways,
+            completed,
+            append,
+        )
+    }
 }
 
 #[cfg(test)]

@@ -68,7 +68,8 @@ pub use breakeven::{
     empirical_break_even_cycles, inputs_from_sim, BreakEvenInputs, TTL_MUX_OVERHEAD_NS,
 };
 pub use explore::{
-    size_ladder, validate_grid, DesignGrid, Explorer, GridRow, GridRun, MissRatioPoint,
+    size_ladder, validate_grid, warmup_records, DesignGrid, Explorer, GridRow, GridRun, GridSpec,
+    MissRatioPoint,
 };
 pub use isoperf::{
     constant_performance_lines, constant_performance_lines_abs, mean_line_shift,

@@ -11,8 +11,9 @@
 //! ```
 //!
 //! * The **header** pins the run identity: the trace content digest,
-//!   the engine, and the full grid definition. Resume refuses to mix
-//!   journals across different runs.
+//!   the engine, and the full grid definition
+//!   ([`JournalHeader::sweep_fields`]). Resume refuses to mix journals
+//!   across different runs ([`JournalWriter::open`]).
 //! * Each **row record** is one completed size-row of the grid, written
 //!   with a single `write` and fsync'd (`File::sync_data`) before the
 //!   writer reports it durable — after a crash, every record that made
@@ -81,6 +82,49 @@ pub struct JournalHeader {
     pub trace_id: Option<String>,
 }
 
+impl JournalHeader {
+    /// The seven fields that define the sweep, in their on-disk order:
+    /// every field except [`trace_id`](JournalHeader::trace_id). The
+    /// header line, the resume match ([`JournalWriter::open`]) and the
+    /// serve crate's content-addressed job key all read this one list.
+    pub fn sweep_fields(&self) -> [(&'static str, JsonValue); 7] {
+        let ints = |xs: &[u64]| JsonValue::Array(xs.iter().map(|&v| JsonValue::U64(v)).collect());
+        [
+            ("trace_digest", self.trace_digest.as_str().into()),
+            ("engine", self.engine.as_str().into()),
+            ("l1_bytes", self.l1_bytes.into()),
+            ("warmup", self.warmup.into()),
+            ("ways", self.ways.into()),
+            ("sizes", ints(&self.sizes)),
+            ("cycles", ints(&self.cycles)),
+        ]
+    }
+
+    /// The first sweep field in which this (stored) header differs from
+    /// `run`'s, as a [`JournalError::Mismatch`].
+    fn mismatch(&self, run: &JournalHeader) -> Option<JournalError> {
+        // Values print as Rust literals: strings quoted, lists as `[1, 2]`.
+        fn show(v: &JsonValue) -> String {
+            match v {
+                JsonValue::Str(s) => format!("{s:?}"),
+                JsonValue::Array(xs) => {
+                    format!("[{}]", xs.iter().map(show).collect::<Vec<_>>().join(", "))
+                }
+                other => other.to_string_compact(),
+            }
+        }
+        self.sweep_fields()
+            .into_iter()
+            .zip(run.sweep_fields())
+            .find(|((_, j), (_, r))| j != r)
+            .map(|((field, j), (_, r))| JournalError::Mismatch {
+                field,
+                journal: show(&j),
+                run: show(&r),
+            })
+    }
+}
+
 /// One committed grid row: every swept cycle time priced at one L2
 /// size. `mlc_core` re-exports it as `GridRow`; on disk its floats are
 /// carried as bit patterns.
@@ -114,6 +158,16 @@ pub enum JournalError {
         /// What was wrong with it.
         reason: String,
     },
+    /// The journal was written for a different sweep than the one
+    /// opening it ([`JournalWriter::open`]).
+    Mismatch {
+        /// The first differing field of [`JournalHeader::sweep_fields`].
+        field: &'static str,
+        /// The journal's value of that field.
+        journal: String,
+        /// The opening run's value of that field.
+        run: String,
+    },
 }
 
 impl fmt::Display for JournalError {
@@ -123,6 +177,14 @@ impl fmt::Display for JournalError {
             JournalError::Corrupt { line, reason } => {
                 write!(f, "corrupt journal at line {line}: {reason}")
             }
+            JournalError::Mismatch {
+                field,
+                journal,
+                run,
+            } => write!(
+                f,
+                "journal {field} mismatch: journal has {journal}, this run has {run}"
+            ),
         }
     }
 }
@@ -131,7 +193,7 @@ impl std::error::Error for JournalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             JournalError::Io(e) => Some(e),
-            JournalError::Corrupt { .. } => None,
+            JournalError::Corrupt { .. } | JournalError::Mismatch { .. } => None,
         }
     }
 }
@@ -238,17 +300,8 @@ fn parse_checked_line(line: &str) -> Result<JsonValue, String> {
 }
 
 fn header_line(header: &JournalHeader) -> String {
-    let ints = |xs: &[u64]| JsonValue::Array(xs.iter().map(|&v| JsonValue::U64(v)).collect());
-    let mut fields = vec![
-        ("schema".into(), JOURNAL_SCHEMA.into()),
-        ("trace_digest".into(), header.trace_digest.as_str().into()),
-        ("engine".into(), header.engine.as_str().into()),
-        ("l1_bytes".into(), header.l1_bytes.into()),
-        ("warmup".into(), header.warmup.into()),
-        ("ways".into(), header.ways.into()),
-        ("sizes".into(), ints(&header.sizes)),
-        ("cycles".into(), ints(&header.cycles)),
-    ];
+    let mut fields = vec![("schema".into(), JOURNAL_SCHEMA.into())];
+    fields.extend(header.sweep_fields().map(|(k, v)| (k.into(), v)));
     if let Some(trace_id) = &header.trace_id {
         fields.push(("trace_id".into(), trace_id.as_str().into()));
     }
@@ -512,13 +565,48 @@ impl JournalWriter {
     /// [`JournalError::Corrupt`] when a committed line is malformed;
     /// [`JournalError::Io`] on read/truncate/sync failure.
     pub fn resume(path: &Path) -> Result<(JournalWriter, Journal), JournalError> {
-        use std::io::Seek;
         let journal = read_journal(path)?;
+        Ok((JournalWriter::append_to(path, &journal)?, journal))
+    }
+
+    /// Opens the journal of the sweep `header` describes: creates it
+    /// when `path` does not exist, and otherwise resumes it as
+    /// [`JournalWriter::resume`] does, provided the stored header has
+    /// the same [sweep fields](JournalHeader::sweep_fields) (its
+    /// `trace_id` may differ and is kept). Returns the writer and the
+    /// journal, whose `rows` are the rows already committed (none for
+    /// a new journal).
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Mismatch`] naming the first differing field,
+    /// checked before anything is truncated;
+    /// [`JournalError::Corrupt`] and [`JournalError::Io`] as for
+    /// [`JournalWriter::resume`] and [`JournalWriter::create`].
+    pub fn open(
+        path: &Path,
+        header: &JournalHeader,
+    ) -> Result<(JournalWriter, Journal), JournalError> {
+        if !path.exists() {
+            let writer = JournalWriter::create(path, header)?;
+            return Ok((writer, read_journal(path)?));
+        }
+        let journal = read_journal(path)?;
+        if let Some(mismatch) = journal.header.mismatch(header) {
+            return Err(mismatch);
+        }
+        Ok((JournalWriter::append_to(path, &journal)?, journal))
+    }
+
+    /// Opens `journal`'s file for appending after truncating its torn
+    /// tail, if any, and syncing the truncation.
+    fn append_to(path: &Path, journal: &Journal) -> io::Result<JournalWriter> {
+        use std::io::Seek;
         let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(journal.committed_len)?;
         file.sync_data()?;
         file.seek(io::SeekFrom::End(0))?;
-        Ok((JournalWriter { file }, journal))
+        Ok(JournalWriter { file })
     }
 
     /// Durably appends one completed row.
@@ -734,6 +822,62 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn open_creates_resumes_and_rejects_another_sweep() {
+        let path = tmp("open.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let (mut w, fresh) = JournalWriter::open(&path, &sample_header()).unwrap();
+        assert!(fresh.rows.is_empty() && !fresh.torn_tail);
+        assert_eq!(fresh.committed_len, std::fs::metadata(&path).unwrap().len());
+        w.append_row(&sample_row(0)).unwrap();
+        drop(w);
+        // Crash debris at the tail.
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"{\"row\":1").unwrap();
+        drop(f);
+        let torn_len = std::fs::metadata(&path).unwrap().len();
+
+        // Another sweep: refused by field, and the file is left alone.
+        let mut other = sample_header();
+        other.cycles = vec![1, 2, 4];
+        let err = JournalWriter::open(&path, &other).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                JournalError::Mismatch {
+                    field: "cycles",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "journal cycles mismatch: journal has [1, 4], this run has [1, 2, 4]"
+        );
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), torn_len);
+        let mut other = sample_header();
+        other.trace_digest = "fnv1a64:ffffffffffffffff".into();
+        assert_eq!(
+            JournalWriter::open(&path, &other).unwrap_err().to_string(),
+            "journal trace_digest mismatch: journal has \"fnv1a64:0123456789abcdef\", \
+             this run has \"fnv1a64:ffffffffffffffff\""
+        );
+
+        // The same sweep under another trace id resumes: the torn tail
+        // is truncated and the stored header (and its id) kept.
+        let mut same = sample_header();
+        same.trace_id = Some("trc-0000000000000001".into());
+        let (_, resumed) = JournalWriter::open(&path, &same).unwrap();
+        assert!(resumed.torn_tail);
+        assert_eq!(resumed.header, sample_header());
+        assert_eq!(resumed.rows.len(), 1);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            resumed.committed_len
+        );
     }
 
     #[test]

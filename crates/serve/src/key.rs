@@ -2,11 +2,12 @@
 //!
 //! A sweep job is identified by what it *computes*, not by who asked:
 //! the FNV-1a 64 digest of a canonical compact-JSON manifest of the
-//! resolved sweep parameters — which are exactly the fields of the
-//! journal header ([`mlc_obs::JournalHeader`]) the job writes. Two
-//! submissions that resolve to the same trace content, engine, and grid
-//! definition therefore collapse onto one key, one journal, and one
-//! cache entry, regardless of trace *path* or flag spelling.
+//! resolved sweep parameters — which are exactly the sweep fields of
+//! the journal header ([`mlc_obs::JournalHeader::sweep_fields`]) the
+//! job writes. Two submissions that resolve to the same trace content,
+//! engine, and grid definition therefore collapse onto one key, one
+//! journal, and one cache entry, regardless of trace *path* or flag
+//! spelling.
 //!
 //! The key doubles as the on-disk name (via [`key_stem`]) and is
 //! self-verifying: a cache entry's key can be re-derived from the
@@ -21,28 +22,18 @@ use mlc_obs::{Fnv64, JournalHeader};
 pub const KEY_SCHEMA: &str = "mlc-serve-key/1";
 
 /// Derives the content-addressed key (`fnv1a64:<16 hex>`) for the sweep
-/// a journal header describes.
+/// a journal header describes: the hash of the header's
+/// [sweep fields](JournalHeader::sweep_fields) under [`KEY_SCHEMA`].
 ///
-/// The manifest lists the hashed fields explicitly, so identity
-/// metadata on the header — notably
-/// [`trace_id`](JournalHeader::trace_id) — never reaches the key:
-/// retries and concurrent submissions with different trace contexts
-/// converge on one job and one cache entry.
+/// Identity metadata on the header — notably
+/// [`trace_id`](JournalHeader::trace_id) — is not a sweep field and
+/// never reaches the key: retries and concurrent submissions with
+/// different trace contexts converge on one job and one cache entry.
 pub fn job_key(header: &JournalHeader) -> String {
-    let ints = |xs: &[u64]| JsonValue::Array(xs.iter().map(|&v| JsonValue::U64(v)).collect());
-    let manifest = JsonValue::Object(vec![
-        ("schema".into(), KEY_SCHEMA.into()),
-        ("trace_digest".into(), header.trace_digest.as_str().into()),
-        ("engine".into(), header.engine.as_str().into()),
-        ("l1_bytes".into(), header.l1_bytes.into()),
-        ("warmup".into(), header.warmup.into()),
-        ("ways".into(), header.ways.into()),
-        ("sizes".into(), ints(&header.sizes)),
-        ("cycles".into(), ints(&header.cycles)),
-    ])
-    .to_string_compact();
+    let mut manifest = vec![("schema".to_owned(), KEY_SCHEMA.into())];
+    manifest.extend(header.sweep_fields().map(|(k, v)| (k.into(), v)));
     let mut h = Fnv64::new();
-    h.write(manifest.as_bytes());
+    h.write(JsonValue::Object(manifest).to_string_compact().as_bytes());
     format!("fnv1a64:{:016x}", h.finish())
 }
 
@@ -62,6 +53,7 @@ pub fn key_stem(key: &str) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlc_obs::{JournalError, JournalWriter};
 
     fn header() -> JournalHeader {
         JournalHeader {
@@ -77,20 +69,61 @@ mod tests {
     }
 
     #[test]
+    fn key_of_a_fixed_header_is_pinned() {
+        // Cache entries and spool journals are filed under these keys:
+        // a change here orphans every stored result.
+        assert_eq!(job_key(&header()), "fnv1a64:186fb0ddc57ede97");
+    }
+
+    #[test]
     fn key_is_stable_and_parameter_sensitive() {
         let base = job_key(&header());
         assert_eq!(base, job_key(&header()), "key must be deterministic");
         assert!(key_stem(&base).is_some(), "{base}");
 
+        // One perturbation per sweep field: each changes the key, and a
+        // journal of the base header refuses to open as that sweep,
+        // naming the field.
+        let path = std::env::temp_dir().join(format!("mlc_key_unit_{}.jsonl", std::process::id()));
+        JournalWriter::create(&path, &header()).unwrap();
+        let with = |perturb: fn(&mut JournalHeader)| {
+            let mut h = header();
+            perturb(&mut h);
+            h
+        };
+        let perturbed = [
+            (
+                "trace_digest",
+                with(|h| h.trace_digest = "fnv1a64:00000000deadbeee".into()),
+            ),
+            ("engine", with(|h| h.engine = "exhaustive".into())),
+            ("l1_bytes", with(|h| h.l1_bytes *= 2)),
+            ("warmup", with(|h| h.warmup += 1)),
+            ("ways", with(|h| h.ways = 2)),
+            ("sizes", with(|h| h.sizes.push(65536))),
+            ("cycles", with(|h| h.cycles.push(3))),
+        ];
+        assert_eq!(
+            perturbed.each_ref().map(|(field, _)| *field),
+            header().sweep_fields().map(|(field, _)| field),
+            "every sweep field is perturbed once"
+        );
+        for (field, h) in perturbed {
+            assert_ne!(job_key(&h), base, "{field} must be part of the identity");
+            match JournalWriter::open(&path, &h) {
+                Err(JournalError::Mismatch { field: named, .. }) => assert_eq!(named, field),
+                other => panic!("{field}: expected a mismatch, got {other:?}"),
+            }
+        }
+
+        // The trace id alone is not the sweep: same key, and the
+        // journal resumes.
         let mut h = header();
-        h.warmup += 1;
-        assert_ne!(job_key(&h), base, "warmup must be part of the identity");
-        let mut h = header();
-        h.engine = "exhaustive".into();
-        assert_ne!(job_key(&h), base, "engine must be part of the identity");
-        let mut h = header();
-        h.sizes.push(65536);
-        assert_ne!(job_key(&h), base, "grid must be part of the identity");
+        h.trace_id = Some("trc-0123456789abcdef".into());
+        assert_eq!(job_key(&h), base);
+        let (_, journal) = JournalWriter::open(&path, &h).expect("resumes");
+        assert_eq!(journal.header, header());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

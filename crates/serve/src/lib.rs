@@ -60,4 +60,4 @@ pub use server::{
     SubmitError, SubmitOutcome,
 };
 pub use stats::{shard_of, ServerStats, STATS_SHARDS};
-pub use store::{grid_from_journal, DiskStore, EvictReport, JobSpec, JOB_SPEC_SCHEMA};
+pub use store::{DiskStore, EvictReport, JobSpec, JOB_SPEC_SCHEMA};

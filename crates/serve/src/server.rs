@@ -39,12 +39,10 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mlc_cache::ByteSize;
-use mlc_core::{validate_grid, DesignGrid, Explorer, GridRow, SweepEngine};
+use mlc_core::{warmup_records, DesignGrid, Explorer, GridRow, GridSpec};
 use mlc_obs::json::JsonValue;
 use mlc_obs::span::{mint_trace_id, valid_trace_id, Stage};
-use mlc_obs::{digest_records_hex, JournalHeader, JournalWriter, Metrics};
-use mlc_sim::machine::BaseMachine;
+use mlc_obs::{digest_records_hex, JournalWriter, Metrics};
 use mlc_trace::{ingest_warning, FaultPolicy, TraceError, TraceRecord};
 
 use crate::cache::{ResultCache, Tier};
@@ -743,12 +741,10 @@ impl Server {
             self.note_shed();
             return Err(SubmitError::Overloaded("server is draining".into()));
         }
-        let engine: SweepEngine = req.engine.parse().map_err(SubmitError::Invalid)?;
-        let ways = u32::try_from(req.ways)
-            .map_err(|_| SubmitError::Invalid(format!("ways {} overflows u32", req.ways)))?;
-        let sizes: Vec<ByteSize> = req.sizes.iter().map(|&s| ByteSize::new(s)).collect();
-        validate_grid(ByteSize::new(req.l1_bytes), &sizes, &req.cycles, ways)
-            .map_err(SubmitError::Invalid)?;
+        // Wire input comes from outside the program: validate it here.
+        let sweep =
+            GridSpec::from_raw(&req.engine, req.l1_bytes, &req.sizes, &req.cycles, req.ways)
+                .map_err(SubmitError::Invalid)?;
         self.telemetry
             .record_span(Stage::Admission, &trace_id, admission_start);
 
@@ -761,17 +757,8 @@ impl Server {
         let trace = self
             .load_trace(&req.trace, &trace_id)
             .map_err(|e| SubmitError::Invalid(format!("trace {}: {e}", req.trace.display())))?;
-        let warmup = (trace.len() as f64 * req.warmup_frac.clamp(0.0, 0.95)) as u64;
-        let header = JournalHeader {
-            trace_digest: digest_records_hex(&trace),
-            engine: engine.to_string(),
-            l1_bytes: req.l1_bytes,
-            warmup,
-            ways: req.ways,
-            sizes: req.sizes.clone(),
-            cycles: req.cycles.clone(),
-            trace_id: Some(trace_id.clone()),
-        };
+        let warmup = warmup_records(trace.len(), req.warmup_frac);
+        let header = sweep.header(digest_records_hex(&trace), warmup, Some(trace_id.clone()));
         let key = job_key(&header);
         let stem = key_stem(&key)
             .expect("server-derived keys are well-formed")
@@ -852,8 +839,18 @@ impl Server {
             },
         )
         .map_err(|e| SubmitError::Io(format!("spooling job spec failed: {e}")))?;
-        let (writer, completed) = open_spool_journal(disk, &stem, &key, &header)
-            .map_err(|e| SubmitError::Io(format!("spooling journal failed: {e}")))?;
+        // Resume a journal an earlier identical job left behind (failed
+        // or interrupted); one that cannot be resumed as this job is
+        // replaced by a fresh one.
+        let path = disk.job_journal_path(&stem);
+        let (writer, completed) = match JournalWriter::open(&path, &header) {
+            Ok((writer, journal)) => (writer, journal.rows),
+            Err(_) => {
+                let writer = JournalWriter::create(&path, &header)
+                    .map_err(|e| SubmitError::Io(format!("spooling journal failed: {e}")))?;
+                (writer, Vec::new())
+            }
+        };
 
         let job = Arc::new(Job::new(
             key.clone(),
@@ -876,7 +873,7 @@ impl Server {
         };
         let server = Arc::clone(self);
         std::thread::spawn(move || {
-            server.run_job(job, trace, header, engine, writer, completed);
+            server.run_job(job, trace, sweep, warmup, writer, completed);
         });
         Ok(SubmitOutcome::Running(submission))
     }
@@ -947,13 +944,13 @@ impl Server {
                 return Err(format!("unreadable spool journal discarded: {e}"));
             }
         };
-        let header = journal.header.clone();
+        let header = journal.header;
         if job_key(&header) != spec.key {
             disk.discard_job(stem);
             return Err("spool journal does not match its spec; discarded".into());
         }
-        let engine: SweepEngine = match header.engine.parse() {
-            Ok(engine) => engine,
+        let sweep = match GridSpec::from_header(&header) {
+            Ok(sweep) => sweep,
             Err(e) => {
                 disk.discard_job(stem);
                 return Err(e);
@@ -962,7 +959,7 @@ impl Server {
         // A resumed job keeps the trace context of the submission that
         // started it (journals predating tracing get a fresh id), so
         // the work stays attributable across the crash.
-        let trace_id = header.trace_id.clone().unwrap_or_else(mint_trace_id);
+        let trace_id = header.trace_id.unwrap_or_else(mint_trace_id);
         let trace = self
             .load_trace(&spec.trace, &trace_id)
             .map_err(|e| format!("trace reload failed (spool kept): {e}"))?;
@@ -974,7 +971,7 @@ impl Server {
         let job = Arc::new(Job::new(
             spec.key.clone(),
             trace_id,
-            header.sizes.len(),
+            sweep.sizes().len(),
             completed.len(),
             self.event_queue,
         ));
@@ -987,7 +984,7 @@ impl Server {
         let server = Arc::clone(self);
         let key = spec.key.clone();
         std::thread::spawn(move || {
-            server.run_job(job, trace, header, engine, writer, completed);
+            server.run_job(job, trace, sweep, header.warmup as usize, writer, completed);
         });
         Ok(key)
     }
@@ -999,8 +996,8 @@ impl Server {
         self: Arc<Self>,
         job: Arc<Job>,
         trace: Vec<TraceRecord>,
-        header: JournalHeader,
-        engine: SweepEngine,
+        sweep: GridSpec,
+        warmup: usize,
         mut writer: JournalWriter,
         completed: Vec<GridRow>,
     ) {
@@ -1008,39 +1005,27 @@ impl Server {
         let stem = key_stem(&key)
             .expect("server-derived keys are well-formed")
             .to_owned();
-        let sizes: Vec<ByteSize> = header.sizes.iter().map(|&s| ByteSize::new(s)).collect();
-        let ways = header.ways as u32;
-        let mut base = BaseMachine::new();
-        base.l1_total(ByteSize::new(header.l1_bytes));
-        let explorer = Explorer::new(&trace, header.warmup as usize);
+        let explorer = Explorer::new(&trace, warmup);
 
         let t = Instant::now();
-        let run = explorer.l2_grid_checkpointed(
-            engine,
-            &base,
-            &sizes,
-            &header.cycles,
-            ways,
-            completed,
-            |row| {
-                // Sleeping *inside* the journal lock serializes the delay:
-                // rows land row_delay apart even though they compute in
-                // parallel, so a test kill always finds a partial journal.
-                if !self.row_delay.is_zero() {
-                    std::thread::sleep(self.row_delay);
-                }
-                // Chaos shim: an armed injector fails the append the way a
-                // full disk would, before any bytes move.
-                if let Some(fault) = self.chaos.journal_append_fault() {
-                    return Err(fault);
-                }
-                writer.append_row(row)?;
-                // Only a journalled row is progress: the row is not
-                // durable otherwise, and a resume would recompute it.
-                job.progress(row.row);
-                Ok(())
-            },
-        );
+        let run = sweep.run(&explorer, completed, |row| {
+            // Sleeping *inside* the journal lock serializes the delay:
+            // rows land row_delay apart even though they compute in
+            // parallel, so a test kill always finds a partial journal.
+            if !self.row_delay.is_zero() {
+                std::thread::sleep(self.row_delay);
+            }
+            // Chaos shim: an armed injector fails the append the way a
+            // full disk would, before any bytes move.
+            if let Some(fault) = self.chaos.journal_append_fault() {
+                return Err(fault);
+            }
+            writer.append_row(row)?;
+            // Only a journalled row is progress: the row is not
+            // durable otherwise, and a resume would recompute it.
+            job.progress(row.row);
+            Ok(())
+        });
         self.telemetry
             .record_span(Stage::Simulate, &job.trace_id, t);
         // Close the journal before commit renames the file.
@@ -1060,7 +1045,7 @@ impl Server {
                 message: format!(
                     "{} of {} grid row(s) failed; first: {first}",
                     run.failures.len(),
-                    sizes.len()
+                    sweep.sizes().len()
                 ),
                 retryable: false,
             })
@@ -1114,27 +1099,4 @@ impl Server {
             self.telemetry.add_events_dropped(dropped);
         }
     }
-}
-
-/// Opens the spool journal for a new job: resumes a journal left by a
-/// previously failed or interrupted identical job (verifying it really
-/// is the same job), or creates a fresh one. Returns the writer and the
-/// rows already committed.
-fn open_spool_journal(
-    disk: &DiskStore,
-    stem: &str,
-    key: &str,
-    header: &JournalHeader,
-) -> io::Result<(JournalWriter, Vec<GridRow>)> {
-    let path = disk.job_journal_path(stem);
-    if path.exists() {
-        if let Ok((writer, journal)) = JournalWriter::resume(&path) {
-            if job_key(&journal.header) == key {
-                return Ok((writer, journal.rows));
-            }
-        }
-        // Unreadable or mismatched: start over.
-        std::fs::remove_file(&path)?;
-    }
-    Ok((JournalWriter::create(&path, header)?, Vec::new()))
 }

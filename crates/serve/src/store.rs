@@ -46,8 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
-use mlc_cache::ByteSize;
-use mlc_core::DesignGrid;
+use mlc_core::{DesignGrid, GridSpec};
 use mlc_obs::json::JsonValue;
 use mlc_obs::{read_journal, sync_dir_of, Journal};
 
@@ -77,20 +76,16 @@ pub struct EvictReport {
     pub evicted_bytes: u64,
 }
 
-/// Assembles the design grid a (complete) journal describes.
-pub fn grid_from_journal(journal: &Journal) -> DesignGrid {
-    let sizes: Vec<ByteSize> = journal
-        .header
-        .sizes
-        .iter()
-        .map(|&s| ByteSize::new(s))
-        .collect();
-    DesignGrid::from_rows(
-        &sizes,
-        &journal.header.cycles,
-        journal.header.ways as u32,
+/// Assembles the design grid a (complete) journal describes, or `None`
+/// when its header is not a valid sweep ([`GridSpec::from_header`]).
+fn grid_from_journal(journal: &Journal) -> Option<DesignGrid> {
+    let sweep = GridSpec::from_header(&journal.header).ok()?;
+    Some(DesignGrid::from_rows(
+        sweep.sizes(),
+        sweep.cycles(),
+        sweep.ways(),
         &journal.rows,
-    )
+    ))
 }
 
 /// The on-disk result store.
@@ -351,16 +346,20 @@ impl DiskStore {
         if !path.exists() {
             return None;
         }
-        match read_journal(&path) {
-            Ok(journal)
-                if job_key(&journal.header) == key
+        let grid = read_journal(&path)
+            .ok()
+            .filter(|journal| {
+                job_key(&journal.header) == key
                     && !journal.torn_tail
-                    && journal.missing_rows().is_empty() =>
-            {
+                    && journal.missing_rows().is_empty()
+            })
+            .and_then(|journal| grid_from_journal(&journal));
+        match grid {
+            Some(grid) => {
                 self.touch(&path);
-                Some(grid_from_journal(&journal))
+                Some(grid)
             }
-            _ => {
+            None => {
                 // Self-healing: drop the bad entry; the next submission
                 // recomputes and rewrites it.
                 let _ = fs::remove_file(&path);

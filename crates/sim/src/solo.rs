@@ -10,7 +10,7 @@
 use mlc_cache::{CacheStats, CacheUnit};
 use mlc_trace::TraceRecord;
 
-use crate::config::{LevelCacheConfig, SimConfigError};
+use crate::config::LevelCacheConfig;
 
 /// Functionally simulates `records` against a lone cache, returning its
 /// statistics. The first `warmup` records touch the cache but are
@@ -55,110 +55,6 @@ where
     I: IntoIterator<Item = TraceRecord>,
 {
     solo_stats(config, records, warmup).local_read_miss_ratio()
-}
-
-/// Set-sampled solo statistics (Puzak's set sampling): simulates only the
-/// references mapping to a 1-in-2^`sample_shift` subset of the cache's
-/// sets, using a proportionally smaller cache. Miss *ratios* from the
-/// returned stats estimate the full cache's ratios at a fraction of the
-/// cost; absolute counts cover only the sample.
-///
-/// The sample keeps the sets whose top `sample_shift` index bits are
-/// zero, so the reduced cache's own indexing still spreads references
-/// over all of its sets. Policies that cross set boundaries (fetch
-/// groups, prefetching, victim buffers, sub-blocking) are not carried
-/// into the sample — set sampling assumes per-set independence.
-///
-/// # Panics
-///
-/// Panics if the cache has fewer than `2^sample_shift` sets. Use
-/// [`try_sampled_solo_stats`] when `sample_shift` comes from user input.
-///
-/// # Examples
-///
-/// ```
-/// use mlc_cache::{ByteSize, CacheConfig};
-/// use mlc_sim::solo;
-/// use mlc_trace::TraceRecord;
-///
-/// let cache = CacheConfig::builder().total(ByteSize::kib(64)).build()?;
-/// let trace: Vec<_> = (0..10_000u64).map(|i| TraceRecord::read(i * 64)).collect();
-/// let exact = solo::solo_stats(
-///     mlc_sim::LevelCacheConfig::Unified(cache), trace.iter().copied(), 0);
-/// let sampled = solo::sampled_solo_stats(cache, trace.iter().copied(), 0, 2);
-/// // A pure streaming trace misses everywhere, in sample and full alike.
-/// assert_eq!(exact.local_read_miss_ratio(), sampled.local_read_miss_ratio());
-/// # Ok::<(), mlc_cache::ConfigError>(())
-/// ```
-pub fn sampled_solo_stats<I>(
-    config: mlc_cache::CacheConfig,
-    records: I,
-    warmup: usize,
-    sample_shift: u32,
-) -> CacheStats
-where
-    I: IntoIterator<Item = TraceRecord>,
-{
-    match try_sampled_solo_stats(config, records, warmup, sample_shift) {
-        Ok(stats) => stats,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`sampled_solo_stats`] with the sample-size check surfaced as a typed
-/// error instead of a panic — `sample_shift` typically arrives straight
-/// from a CLI flag.
-///
-/// # Errors
-///
-/// Returns [`SimConfigError`] if the cache has fewer than
-/// `2^sample_shift` sets (equivalently: if the sampled cache would be
-/// smaller than one set).
-pub fn try_sampled_solo_stats<I>(
-    config: mlc_cache::CacheConfig,
-    records: I,
-    warmup: usize,
-    sample_shift: u32,
-) -> Result<CacheStats, SimConfigError>
-where
-    I: IntoIterator<Item = TraceRecord>,
-{
-    let geom = config.geometry();
-    let sets = geom.sets();
-    if sample_shift >= 64 || sets < 1 << sample_shift {
-        return Err(SimConfigError::new(format!(
-            "cannot sample 1 in 2^{sample_shift} of {sets} sets"
-        )));
-    }
-    let reduced = mlc_cache::CacheConfig::builder()
-        .total(mlc_cache::ByteSize::new(geom.total_bytes() >> sample_shift))
-        .block_bytes(geom.block_bytes())
-        .ways(geom.ways())
-        .replacement(config.replacement())
-        .write_policy(config.write_policy())
-        .alloc_policy(config.alloc_policy())
-        .seed(config.seed())
-        .build()
-        // The invariant holds because total/sets/ways only shrank by a
-        // power of two that the check above proved divides the set count.
-        .expect("halving a valid geometry stays valid");
-    let keep_shift = sets.trailing_zeros() - sample_shift;
-    let mut cache = mlc_cache::Cache::new(reduced);
-    let mut seen = 0usize;
-    for rec in records {
-        seen += 1;
-        if geom.set_index(rec.addr) >> keep_shift != 0 {
-            continue;
-        }
-        cache.access(rec.addr, rec.kind);
-        if seen <= warmup {
-            // Warm-up boundary is counted on the *unsampled* stream so it
-            // matches full runs; clearing per record is cheap and leaves
-            // exactly the post-boundary references in the counters.
-            cache.reset_stats();
-        }
-    }
-    Ok(*cache.stats())
 }
 
 #[cfg(test)]
@@ -230,88 +126,6 @@ mod tests {
         // Each side takes its own cold miss, then hits.
         assert_eq!(stats.read_misses(), 2);
         assert_eq!(stats.read_references(), 4);
-    }
-
-    #[test]
-    fn sampling_with_shift_zero_is_exact() {
-        use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
-        let trace = MultiProgramGenerator::new(Preset::Mips2.config(4))
-            .unwrap()
-            .generate_records(50_000);
-        let config = CacheConfig::builder()
-            .total(ByteSize::kib(64))
-            .block_bytes(32)
-            .build()
-            .unwrap();
-        let exact = solo_stats(
-            LevelCacheConfig::Unified(config),
-            trace.iter().copied(),
-            10_000,
-        );
-        let sampled = sampled_solo_stats(config, trace.iter().copied(), 10_000, 0);
-        assert_eq!(exact, sampled);
-    }
-
-    #[test]
-    fn sampling_estimates_miss_ratio() {
-        use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
-        let trace = MultiProgramGenerator::new(Preset::Vms2.config(9))
-            .unwrap()
-            .generate_records(400_000);
-        let config = CacheConfig::builder()
-            .total(ByteSize::kib(128))
-            .block_bytes(32)
-            .build()
-            .unwrap();
-        let exact = solo_stats(
-            LevelCacheConfig::Unified(config),
-            trace.iter().copied(),
-            100_000,
-        )
-        .local_read_miss_ratio()
-        .unwrap();
-        for shift in [1u32, 2, 3] {
-            let stats = sampled_solo_stats(config, trace.iter().copied(), 100_000, shift);
-            let est = stats.local_read_miss_ratio().unwrap();
-            assert!(
-                (est - exact).abs() / exact < 0.25,
-                "shift {shift}: estimate {est} vs exact {exact}"
-            );
-            // The sample sees on the order of 1/2^shift of the
-            // references (workload index skew makes this loose — the
-            // very non-uniformity set sampling has to average over).
-            let frac = stats.read_references() as f64 / 300_000.0;
-            let expect = 1.0 / f64::from(1 << shift);
-            assert!(
-                frac > expect / 4.0 && frac < expect * 4.0,
-                "shift {shift}: sample fraction {frac} vs nominal {expect}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot sample")]
-    fn sampling_rejects_oversized_shift() {
-        let config = CacheConfig::builder()
-            .total(ByteSize::new(64))
-            .block_bytes(16)
-            .build()
-            .unwrap(); // 4 sets
-        sampled_solo_stats(config, Vec::new(), 0, 3);
-    }
-
-    #[test]
-    fn try_sampling_returns_typed_error_for_oversized_shift() {
-        let config = CacheConfig::builder()
-            .total(ByteSize::new(64))
-            .block_bytes(16)
-            .build()
-            .unwrap(); // 4 sets
-        for shift in [3u32, 64, u32::MAX] {
-            let err = try_sampled_solo_stats(config, Vec::new(), 0, shift).unwrap_err();
-            assert!(err.to_string().contains("cannot sample"), "{err}");
-        }
-        assert!(try_sampled_solo_stats(config, Vec::new(), 0, 2).is_ok());
     }
 
     #[test]

@@ -59,8 +59,8 @@
 //! observer keeps the cycle ledger, histograms, sampled events and the
 //! `check-invariants` checker. Unused tail lanes carry lane 0's timing
 //! parameters but no main memory (`memory_read` and `write_downstream`
-//! leave their completions at 0), so their clocks mean nothing and
-//! [`TimingSweepSim::results`] drops them.
+//! leave their completions at 0), so their clocks mean nothing and a
+//! [`TimingSweepSim`]'s results drop them.
 //!
 //! # The one approximation
 //!
@@ -1099,7 +1099,7 @@ pub(crate) fn warm_then_measure<const W: usize, O: Observer>(
 ///
 /// One or two lanes run at vector width 2, and three or more at width
 /// [`MAX_LANES`]; unused tail lanes are computed alongside and dropped
-/// from [`Self::results`].
+/// from the results.
 ///
 /// # Examples
 ///
@@ -1165,14 +1165,6 @@ impl TimingSweepSim {
         Ok(TimingSweepSim { inner })
     }
 
-    /// Number of timing lanes (the number of configurations supplied).
-    pub fn lanes(&self) -> usize {
-        match &self.inner {
-            SweepDispatch::W2(sim) => sim.lanes,
-            SweepDispatch::W12(sim) => sim.lanes,
-        }
-    }
-
     /// The vector width carrying those lanes: 2 for one or two lanes,
     /// else [`MAX_LANES`].
     pub fn width(&self) -> usize {
@@ -1186,7 +1178,7 @@ impl TimingSweepSim {
     /// lane in construction order. Functional counters (hits, misses,
     /// traffic, buffer flow) are identical across lanes by construction;
     /// cycle totals, stall counters and memory waits are per-lane.
-    pub fn results(&self) -> Vec<SimResult> {
+    fn results(&self) -> Vec<SimResult> {
         match &self.inner {
             SweepDispatch::W2(sim) => sim.results(),
             SweepDispatch::W12(sim) => sim.results(),
@@ -1294,7 +1286,11 @@ mod tests {
             let configs: Vec<_> = (1..=lanes as u64).map(base_at).collect();
             let sim = TimingSweepSim::new(&configs).unwrap();
             assert_eq!(sim.width(), if lanes <= 2 { 2 } else { 12 });
-            assert_eq!(sim.lanes(), lanes);
+            let live = match &sim.inner {
+                SweepDispatch::W2(e) => e.lanes,
+                SweepDispatch::W12(e) => e.lanes,
+            };
+            assert_eq!(live, lanes);
             assert_eq!(
                 sweep(&configs, &trace, 5_000),
                 solo[..lanes],
