@@ -506,7 +506,8 @@ echo "==> mlc-serve telemetry smoke (trace ids, mlc-stats/1, flight recorder)"
 # A traced submission must carry its id end to end (client output,
 # committed journal, shutdown span export); the stats document must
 # version itself, count the repeat fetch as a memory hit, and conserve
-# samples across stages; the flight recorder must rotate at its budget.
+# samples across stages; the flight recorder must rotate at its budget;
+# the --metrics-out file written at exit must hold the same counters.
 obs_dir=target/mlc-results/ci_obs
 rm -rf "$obs_dir"
 mkdir -p "$obs_dir"
@@ -515,6 +516,7 @@ obs_args="--sizes 32K:128K --cycles 1:4 --warmup-frac 0.25 --engine onepass"
 ./target/release/mlc-serve --store "$obs_dir/store" --socket "$obs_sock" \
     --stats-out "$obs_dir/flight.jsonl" --stats-every-ms 50 \
     --stats-max-bytes 1K --events-out "$obs_dir/spans.json" \
+    --metrics-out "$obs_dir/metrics.jsonl" \
     > "$obs_dir/server.log" 2>&1 &
 obs_pid=$!
 tries=0
@@ -604,6 +606,22 @@ if ! jq -e '(.otherData.schema == "mlc-serve-spans/1")
 fi
 if ! grep -q 'ci-trace-e2e' "$obs_dir/spans.json"; then
     echo "ci.sh: span export lost the submission's trace id" >&2
+    exit 1
+fi
+# One instrument: the exit-time metrics file and the stats document
+# count computed jobs alike, and spans land in stage histograms.
+metrics_computed=$(jq -s 'map(select(.event == "counter"
+        and .name == "serve.jobs_computed") | .value) | add // 0' \
+    "$obs_dir/metrics.jsonl")
+stats_computed=$(jq '.counters.jobs_computed' "$obs_dir/stats.json")
+if [ "$metrics_computed" != "$stats_computed" ]; then
+    echo "ci.sh: --metrics-out serve.jobs_computed=$metrics_computed," \
+        "stats document jobs_computed=$stats_computed" >&2
+    exit 1
+fi
+if ! jq -e 'select(.event == "hist" and .name == "serve.stage.simulate")' \
+    "$obs_dir/metrics.jsonl" > /dev/null; then
+    echo "ci.sh: --metrics-out lacks the serve.stage.simulate histogram" >&2
     exit 1
 fi
 

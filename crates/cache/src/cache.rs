@@ -11,7 +11,6 @@ use mlc_trace::synth::Xoshiro;
 use mlc_trace::{AccessKind, Address};
 
 use crate::config::CacheConfig;
-use crate::error::ConfigError;
 use crate::geometry::CacheGeometry;
 use crate::policy::{AllocPolicy, Prefetch, Replacement, WritePolicy};
 use crate::stats::CacheStats;
@@ -283,19 +282,6 @@ impl Cache {
             rng: Xoshiro::seed_from_u64(config.seed() ^ 0xCACE),
             stats: CacheStats::default(),
         }
-    }
-
-    /// Convenience constructor from builder parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if the parameters are invalid.
-    pub fn direct_mapped(total: crate::ByteSize, block_bytes: u64) -> Result<Self, ConfigError> {
-        let config = CacheConfig::builder()
-            .total(total)
-            .block_bytes(block_bytes)
-            .build()?;
-        Ok(Cache::new(config))
     }
 
     /// The cache's configuration.

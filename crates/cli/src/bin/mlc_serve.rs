@@ -170,7 +170,7 @@ mod unix {
             .get("socket")
             .map(PathBuf::from)
             .unwrap_or_else(|| store.join("mlc-serve.sock"));
-        let obs = Observability::from_args(&args)?;
+        let mut obs = Observability::from_args(&args)?;
         let mut config = ServerConfig::new(&store);
         config.mem_entries = args.get_or("mem-entries", 8usize)?;
         config.disk_budget = args.get("disk-budget").map(parse_size).transpose()?;
@@ -178,7 +178,6 @@ mod unix {
         config.io_timeout = (io_timeout_ms > 0).then(|| Duration::from_millis(io_timeout_ms));
         config.max_handlers = args.get_or("max-handlers", 64usize)?;
         config.max_jobs = args.get_or("max-jobs", 32usize)?;
-        config.metrics = obs.metrics.clone();
         let drain_ms: u64 = args.get_or("drain-ms", 10_000u64)?;
         let stats_out = args.get("stats-out").map(PathBuf::from);
         let stats_every_ms: u64 = args.get_or("stats-every-ms", 1_000u64)?;
@@ -276,6 +275,9 @@ mod unix {
                 path.display()
             );
         }
+        // --metrics-out writes the server's own handle: the counters and
+        // stage histograms the stats document renders.
+        obs.metrics = server.metrics().clone();
         let mut manifest = RunManifest::new("mlc-serve", env!("CARGO_PKG_VERSION"));
         obs.finish(&mut manifest)?;
         Ok(())

@@ -16,7 +16,7 @@ use mlc_cli::obs::{obs_flags, Observability};
 use mlc_cli::IngestedTrace;
 use mlc_core::{
     constant_performance_lines, fmt_f2, slopes_cycles_per_doubling, verify_grids, DesignGrid,
-    Explorer, GridSpec, SlopeRegion, SweepEngine, Table,
+    Explorer, GridSpec, PointFailure, SlopeRegion, SweepEngine, Table,
 };
 use mlc_obs::json::JsonValue;
 use mlc_obs::{JournalError, JournalWriter, RunManifest};
@@ -93,6 +93,22 @@ fn lint_sweep(job: &GridSpec, deny_warnings: bool) -> bool {
     !report.should_fail(deny_warnings)
 }
 
+/// The rows of `job` that `failures` names, one `L2 <size> (row i):
+/// <message>` line each, every line led by a newline.
+fn failed_rows(job: &GridSpec, failures: &[PointFailure]) -> String {
+    failures
+        .iter()
+        .map(|f| {
+            format!(
+                "\n  L2 {} (row {}): {}",
+                job.sizes()[f.index],
+                f.index,
+                f.message
+            )
+        })
+        .collect()
+}
+
 /// Recomputes `computed`, the grid of `job`'s engine, with the other
 /// engine and fails unless the two agree cycle-exact.
 fn cross_check(
@@ -107,14 +123,24 @@ fn cross_check(
     };
     let points = job.sizes().len() * job.cycles().len();
     let progress = obs.progress(other.name(), points as u64);
-    let recomputed = explorer.with_progress(&progress).l2_grid_with(
+    let other_job = GridSpec::new(
         other,
-        &job.base(),
-        job.sizes(),
-        job.cycles(),
+        job.l1(),
+        job.sizes().to_vec(),
+        job.cycles().to_vec(),
         job.ways(),
-    );
+    )?;
+    let run = other_job.run(&explorer.with_progress(&progress), Vec::new(), |_| Ok(()));
     progress.finish();
+    if !run.failures.is_empty() {
+        return Err(format!(
+            "{} of {} grid rows failed under the {other} engine:{}",
+            run.failures.len(),
+            job.sizes().len(),
+            failed_rows(job, &run.failures)
+        ));
+    }
+    let recomputed = run.grid;
     let (exhaustive, onepass) = match other {
         SweepEngine::Exhaustive => (&recomputed, computed),
         SweepEngine::OnePass => (computed, &recomputed),
@@ -252,10 +278,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
     let (grid, failures) = (run.grid, run.failures);
     if !failures.is_empty() {
-        eprintln!("{} of {} grid rows failed:", failures.len(), sizes.len());
-        for f in &failures {
-            eprintln!("  L2 {} (row {}): {}", sizes[f.index], f.index, f.message);
-        }
+        eprintln!(
+            "{} of {} grid rows failed:{}",
+            failures.len(),
+            sizes.len(),
+            failed_rows(&job, &failures)
+        );
     }
     if args.has("cross-check") {
         if !failures.is_empty() {

@@ -202,11 +202,6 @@ impl<'t> Explorer<'t> {
         self
     }
 
-    /// The trace being swept.
-    pub fn trace(&self) -> &'t [TraceRecord] {
-        self.trace
-    }
-
     fn metrics(&self) -> Metrics {
         self.metrics.cloned().unwrap_or_default()
     }

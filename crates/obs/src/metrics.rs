@@ -86,6 +86,23 @@ pub struct MetricsSnapshot {
     pub hists: Vec<(String, Log2Histogram)>,
 }
 
+impl MetricsSnapshot {
+    /// The counter `name`; 0 when it was never added to.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+            .map_or(0, |i| self.counters[i].1)
+    }
+
+    /// The histogram `name`, if anything was recorded into it.
+    pub fn hist(&self, name: &str) -> Option<&Log2Histogram> {
+        self.hists
+            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+            .ok()
+            .map(|i| &self.hists[i].1)
+    }
+}
+
 impl Metrics {
     /// A recording handle.
     pub fn enabled() -> Self {
@@ -108,7 +125,12 @@ impl Metrics {
     pub fn add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
             let mut state = inner.lock().expect("metrics lock is never poisoned");
-            *state.counters.entry(name.to_owned()).or_insert(0) += delta;
+            match state.counters.get_mut(name) {
+                Some(value) => *value += delta,
+                None => {
+                    state.counters.insert(name.to_owned(), delta);
+                }
+            }
         }
     }
 
@@ -128,6 +150,23 @@ impl Metrics {
         if let Some(inner) = &self.inner {
             let mut state = inner.lock().expect("metrics lock is never poisoned");
             state.hists.entry(name.to_owned()).or_default().merge(hist);
+        }
+    }
+
+    /// Records one sample `value` into the histogram `name` (created
+    /// empty): the per-event form of [`Metrics::observe_hist`], for
+    /// events rare enough that a lock per sample costs nothing.
+    pub fn record(&self, name: &str, value: u64) {
+        if let Some(inner) = &self.inner {
+            let mut state = inner.lock().expect("metrics lock is never poisoned");
+            match state.hists.get_mut(name) {
+                Some(hist) => hist.record(value),
+                None => {
+                    let mut hist = Log2Histogram::new();
+                    hist.record(value);
+                    state.hists.insert(name.to_owned(), hist);
+                }
+            }
         }
     }
 
@@ -327,6 +366,7 @@ mod tests {
         let mut h = Log2Histogram::new();
         h.record(3);
         m.observe_hist("h", &h);
+        m.record("h", 3);
         let snap = m.snapshot();
         assert!(snap.counters.is_empty() && snap.gauges.is_empty() && snap.phases.is_empty());
         assert!(snap.hists.is_empty());
@@ -355,6 +395,22 @@ mod tests {
         assert!(hist_line.contains(r#""count":3"#));
         assert!(hist_line.contains(r#"[4,7,2]"#));
         assert!(hist_line.contains(r#"[64,127,1]"#));
+    }
+
+    #[test]
+    fn recorded_samples_and_snapshot_lookups() {
+        let m = Metrics::enabled();
+        m.add("hits", 2);
+        m.add("hits", 0);
+        m.add("misses", 1);
+        m.record("lat", 4);
+        m.record("lat", 100);
+        let snap = m.snapshot();
+        assert_eq!((snap.counter("hits"), snap.counter("misses")), (2, 1));
+        assert_eq!(snap.counter("absent"), 0);
+        let lat = snap.hist("lat").expect("recorded");
+        assert_eq!((lat.count(), lat.max()), (2, 100));
+        assert!(snap.hist("absent").is_none());
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl FaultInjector {
         self.commit_fail.store(n, Ordering::SeqCst);
     }
 
-    /// Sets the per-load disk delay in milliseconds (0 clears it).
-    pub fn set_load_delay_ms(&self, ms: u64) {
-        self.load_delay_ms.store(ms, Ordering::SeqCst);
-    }
-
     /// Total faults fired so far.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::SeqCst)

@@ -32,9 +32,10 @@
 //!   ([`FaultInjector`]) that drives the chaos tests proving all of it.
 //! * Every request is **observable**: a trace id follows each
 //!   submission through events, journal headers, and lifecycle spans
-//!   ([`stats`], lock-free sharded recording), surfaced as a versioned
-//!   `mlc-stats/1` telemetry document and a Perfetto-loadable span
-//!   timeline.
+//!   ([`stats`]); every counter and stage histogram is recorded once,
+//!   in the server's `mlc_obs::Metrics` handle, and surfaced as a
+//!   versioned `mlc-stats/1` telemetry document, the `--metrics-out`
+//!   file, and a Perfetto-loadable span timeline.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -53,11 +54,11 @@ pub use cache::{MemoryLru, ResultCache, Tier};
 pub use chaos::FaultInjector;
 pub use key::{job_key, key_stem, KEY_SCHEMA};
 pub use proto::{
-    grid_from_json, grid_to_json, Event, Request, Source, Stats, SubmitRequest, PROTO, STATS_SCHEMA,
+    grid_from_json, grid_to_json, Event, Request, Source, SubmitRequest, PROTO, STATS_SCHEMA,
 };
 pub use server::{
-    JobDone, JobError, JobEvent, JobStatus, RecoveryReport, Server, ServerConfig, Submission,
-    SubmitError, SubmitOutcome,
+    JobDone, JobError, JobEvent, JobStatus, RecoveryReport, Server, ServerConfig, Stats,
+    Submission, SubmitError, SubmitOutcome,
 };
-pub use stats::{shard_of, ServerStats, STATS_SHARDS};
+pub use stats::{stage_metric, ServerStats};
 pub use store::{DiskStore, EvictReport, JobSpec, JOB_SPEC_SCHEMA};

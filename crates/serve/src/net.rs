@@ -64,24 +64,23 @@ pub fn serve(server: Arc<Server>, socket: &Path, version: &str) -> std::io::Resu
     listener.set_nonblocking(true)?;
     let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !server.shutdown_requested() {
-        match listener.accept() {
-            Ok((stream, _)) => {
+        // Blocking I/O with a timeout on both directions: the handler
+        // thread can stall for at most one timeout per read or write,
+        // never forever. A socket we cannot configure is dropped (an
+        // accept error), not served untimed.
+        let accepted = listener.accept().and_then(|(stream, _)| {
+            stream.set_nonblocking(false)?;
+            stream.set_read_timeout(server.io_timeout())?;
+            stream.set_write_timeout(server.io_timeout())?;
+            Ok(stream)
+        });
+        match accepted {
+            Ok(stream) => {
                 handles.retain(|h| !h.is_finished());
                 if handles.len() >= server.max_handlers() {
                     server.note_shed();
                     server.metrics().add("serve.conns_rejected", 1);
                     reject_overloaded(&stream, server.max_handlers());
-                    continue;
-                }
-                // Blocking I/O with a timeout on both directions: the
-                // handler thread can stall for at most one timeout per
-                // read or write, never forever. A socket we cannot
-                // configure is dropped, not served untimed.
-                if stream.set_nonblocking(false).is_err()
-                    || stream.set_read_timeout(server.io_timeout()).is_err()
-                    || stream.set_write_timeout(server.io_timeout()).is_err()
-                {
-                    server.metrics().add("serve.accept_errors", 1);
                     continue;
                 }
                 let server = Arc::clone(&server);
@@ -97,8 +96,9 @@ pub fn serve(server: Arc<Server>, socket: &Path, version: &str) -> std::io::Resu
                 std::thread::sleep(Duration::from_millis(20));
             }
             Err(_) => {
-                // Out of fds, interrupted, peer gone before accept:
-                // transient. Count it, back off, keep serving.
+                // Out of fds, interrupted, peer gone before accept, a
+                // socket that would not take its timeouts: transient.
+                // Count it, back off, keep serving.
                 server.metrics().add("serve.accept_errors", 1);
                 std::thread::sleep(Duration::from_millis(100));
             }
@@ -115,7 +115,6 @@ pub fn serve(server: Arc<Server>, socket: &Path, version: &str) -> std::io::Resu
 /// `overloaded` line (under a short write timeout, so a full socket
 /// buffer cannot stall the accept loop), then close.
 fn reject_overloaded(stream: &UnixStream, cap: usize) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut out = stream;
     let _ = send(

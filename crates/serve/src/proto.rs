@@ -291,42 +291,6 @@ impl Source {
     }
 }
 
-/// Internal server counters: the raw snapshot behind the daemon's
-/// startup banner and the `counters`/`tiers` sections of the
-/// `mlc-stats/1` document. Since the `stats` request landed, `pong`
-/// carries only liveness (proto, version, uptime) — these no longer
-/// ride the wire individually.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Stats {
-    /// Grids simulated to completion by this server process.
-    pub jobs_computed: u64,
-    /// In-flight journals resumed from the spool at startup.
-    pub jobs_recovered: u64,
-    /// Submissions answered by attaching to an identical in-flight job.
-    pub jobs_coalesced: u64,
-    /// Entries currently in the in-memory tier.
-    pub mem_entries: u64,
-    /// Completed entries in the on-disk tier.
-    pub disk_entries: u64,
-    /// Milliseconds this server process has been up.
-    pub uptime_ms: u64,
-    /// Submissions rejected by admission control (full job table or
-    /// handler pool).
-    pub jobs_shed: u64,
-    /// Responses that hit their `deadline_ms` before the job finished.
-    pub jobs_timeout: u64,
-    /// Bytes the committed disk tier currently occupies.
-    pub disk_bytes: u64,
-    /// Committed entries evicted to hold the disk-tier byte budget.
-    pub disk_evictions: u64,
-    /// Bytes reclaimed by those evictions.
-    pub disk_evicted_bytes: u64,
-    /// Connection handler threads currently live.
-    pub handlers_active: u64,
-    /// Orphaned spool files removed by the startup janitor.
-    pub spool_orphans: u64,
-}
-
 /// One server→client line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {

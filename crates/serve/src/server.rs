@@ -28,7 +28,16 @@
 //! `sync_channel` — a stalled peer loses *events* (progress lines are
 //! droppable; a dropped terminal event degrades to an idempotent
 //! refetch), never pins server memory. Degradation is counted
-//! ([`Server::stats`]) and mirrored into `mlc-obs` metrics.
+//! ([`Server::stats`]).
+//!
+//! ## Counting
+//!
+//! The server's [`Metrics`] handle ([`Server::metrics`]) is the one
+//! place the daemon counts: every `serve.*` counter is added at one
+//! site, and every lifecycle span lands in a `serve.stage.<stage>`
+//! histogram of the same handle ([`crate::stats`]). The `mlc-stats/1`
+//! document ([`Server::stats_doc`]) and `mlc-serve --metrics-out` both
+//! render that handle, so they cannot disagree.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -42,14 +51,14 @@ use std::time::{Duration, Instant};
 use mlc_core::{warmup_records, DesignGrid, Explorer, GridRow, GridSpec};
 use mlc_obs::json::JsonValue;
 use mlc_obs::span::{mint_trace_id, valid_trace_id, Stage};
-use mlc_obs::{digest_records_hex, JournalWriter, Metrics};
+use mlc_obs::{digest_records_hex, JournalWriter, Metrics, MetricsSnapshot};
 use mlc_trace::{ingest_warning, FaultPolicy, TraceError, TraceRecord};
 
 use crate::cache::{ResultCache, Tier};
 use crate::chaos::FaultInjector;
 use crate::key::{job_key, key_stem};
-use crate::proto::{Source, Stats, SubmitRequest, PROTO, STATS_SCHEMA};
-use crate::stats::ServerStats;
+use crate::proto::{Source, SubmitRequest, PROTO, STATS_SCHEMA};
+use crate::stats::{stage_metric, ServerStats};
 use crate::store::{DiskStore, JobSpec};
 
 /// Server construction parameters.
@@ -78,9 +87,6 @@ pub struct ServerConfig {
     pub max_handlers: usize,
     /// Fault injector shared with the store (inert by default).
     pub chaos: Arc<FaultInjector>,
-    /// Metrics sink for shed/timeout/eviction accounting (disabled by
-    /// default — disabled metrics are free).
-    pub metrics: Metrics,
     /// Spans retained verbatim for Perfetto export (0 = off, the
     /// default: histograms and counters still record, only the
     /// per-span timeline is skipped). The daemon turns this on for
@@ -95,8 +101,7 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// Defaults: 8-entry memory tier, no row delay, 32-job table,
     /// 64-deep event queues, unbounded disk, 30 s I/O timeout, 64
-    /// handlers, no chaos, no metrics, no span retention, strict trace
-    /// ingestion.
+    /// handlers, no chaos, no span retention, strict trace ingestion.
     pub fn new(store_root: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             store_root: store_root.into(),
@@ -108,7 +113,6 @@ impl ServerConfig {
             io_timeout: Some(Duration::from_secs(30)),
             max_handlers: 64,
             chaos: FaultInjector::none(),
-            metrics: Metrics::disabled(),
             span_retention: 0,
             trace_faults: FaultPolicy::Fail,
         }
@@ -212,6 +216,9 @@ struct Waiter {
 #[derive(Debug, Default)]
 struct JobState {
     rows_done: usize,
+    /// Subscriber events dropped so far (stalled readers losing
+    /// progress lines, or whole waiters dropped at the finish).
+    events_dropped: u64,
     done: Option<JobDone>,
     waiters: Vec<Waiter>,
 }
@@ -236,7 +243,6 @@ struct Job {
     rows_total: usize,
     rows_resumed: usize,
     event_queue: usize,
-    events_dropped: AtomicU64,
     state: Mutex<JobState>,
 }
 
@@ -254,7 +260,6 @@ impl Job {
             rows_total,
             rows_resumed,
             event_queue: event_queue.max(1),
-            events_dropped: AtomicU64::new(0),
             state: Mutex::new(JobState {
                 rows_done: rows_resumed,
                 ..JobState::default()
@@ -303,12 +308,12 @@ impl Job {
                 }
                 Err(TrySendError::Disconnected(_)) => false,
             });
-        if dropped > 0 {
-            self.events_dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
+        st.events_dropped += dropped;
     }
 
-    fn finish(&self, done: JobDone) {
+    /// Broadcasts the terminal event; returns the subscriber events the
+    /// job dropped over its life.
+    fn finish(&self, done: JobDone) -> u64 {
         let mut st = self.lock();
         let mut dropped = 0;
         for w in st.waiters.drain(..) {
@@ -325,10 +330,9 @@ impl Job {
                 dropped += 1;
             }
         }
-        if dropped > 0 {
-            self.events_dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
+        st.events_dropped += dropped;
         st.done = Some(done);
+        st.events_dropped
     }
 }
 
@@ -401,6 +405,56 @@ pub struct RecoveryReport {
     pub errors: Vec<String>,
 }
 
+/// The server's counters and gauges at one instant, as
+/// [`Server::stats`] reads them: the `counters` and `tiers` sections of
+/// the `mlc-stats/1` document, field for field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Stats {
+    /// Grids simulated to completion by this server process.
+    pub jobs_computed: u64,
+    /// In-flight journals resumed from the spool at startup.
+    pub jobs_recovered: u64,
+    /// Submissions answered by attaching to an identical in-flight job.
+    pub jobs_coalesced: u64,
+    /// Submissions rejected by admission control (full job table or
+    /// handler pool).
+    pub jobs_shed: u64,
+    /// Responses that hit their `deadline_ms` before the job finished.
+    pub jobs_timeout: u64,
+    /// Sweep jobs running now.
+    pub jobs_inflight: u64,
+    /// Connection handler threads currently live.
+    pub handlers_active: u64,
+    /// Spool files removed at startup: the janitor's kill-9 leftovers
+    /// and the specs the spool scan could not resume.
+    pub spool_orphans: u64,
+    /// Subscriber events dropped across all finished jobs.
+    pub events_dropped: u64,
+    /// Connects refused because the handler pool was full.
+    pub conns_rejected: u64,
+    /// Failed accepts and accepted sockets that could not be
+    /// configured.
+    pub accept_errors: u64,
+    /// Memory-tier cache hits.
+    pub mem_hits: u64,
+    /// Entries currently in the in-memory tier.
+    pub mem_entries: u64,
+    /// Disk-tier cache hits.
+    pub disk_hits: u64,
+    /// Completed entries in the on-disk tier.
+    pub disk_entries: u64,
+    /// Bytes the committed disk tier currently occupies.
+    pub disk_bytes: u64,
+    /// Committed entries evicted to hold the disk-tier byte budget.
+    pub disk_evictions: u64,
+    /// Bytes reclaimed by those evictions.
+    pub disk_evicted_bytes: u64,
+    /// Lookups neither tier answered.
+    pub misses: u64,
+    /// Milliseconds this server process has been up.
+    pub uptime_ms: u64,
+}
+
 /// The sweep server. Shared across connection handlers via `Arc`.
 pub struct Server {
     cache: ResultCache,
@@ -416,11 +470,6 @@ pub struct Server {
     telemetry: ServerStats,
     started: Instant,
     shutdown: AtomicBool,
-    jobs_computed: AtomicU64,
-    jobs_recovered: AtomicU64,
-    jobs_coalesced: AtomicU64,
-    jobs_shed: AtomicU64,
-    jobs_timeout: AtomicU64,
     handlers_active: AtomicU64,
 }
 
@@ -446,6 +495,7 @@ impl Server {
             config.disk_budget,
             Arc::clone(&config.chaos),
         )?;
+        let metrics = Metrics::enabled();
         Ok(Arc::new(Server {
             cache: ResultCache::new(disk, config.mem_entries),
             jobs: Mutex::new(HashMap::new()),
@@ -456,15 +506,10 @@ impl Server {
             io_timeout: config.io_timeout,
             max_handlers: config.max_handlers.max(1),
             chaos: config.chaos,
-            metrics: config.metrics,
-            telemetry: ServerStats::new(config.span_retention),
+            telemetry: ServerStats::new(metrics.clone(), config.span_retention),
+            metrics,
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
-            jobs_computed: AtomicU64::new(0),
-            jobs_recovered: AtomicU64::new(0),
-            jobs_coalesced: AtomicU64::new(0),
-            jobs_shed: AtomicU64::new(0),
-            jobs_timeout: AtomicU64::new(0),
             handlers_active: AtomicU64::new(0),
         }))
     }
@@ -479,14 +524,15 @@ impl Server {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// The metrics sink (disabled metrics are free).
+    /// The one handle every daemon counter and stage histogram is
+    /// recorded in (see the module docs).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
 
-    /// The request-lifecycle telemetry recorder (span histograms, tier
-    /// counters, retained spans). Connection layers record their own
-    /// stages (accept, parse, reply) through it.
+    /// The span recorder (stage histograms into [`Server::metrics`],
+    /// retained spans, the in-flight job gauge). Connection layers
+    /// record their own stages (accept, parse, reply) through it.
     pub fn telemetry(&self) -> &ServerStats {
         &self.telemetry
     }
@@ -509,13 +555,11 @@ impl Server {
 
     /// Counts a shed request (admission control or handler cap).
     pub fn note_shed(&self) {
-        self.jobs_shed.fetch_add(1, Ordering::Relaxed);
         self.metrics.add("serve.jobs_shed", 1);
     }
 
     /// Counts a response that hit its deadline.
     pub fn note_timeout(&self) {
-        self.jobs_timeout.fetch_add(1, Ordering::Relaxed);
         self.metrics.add("serve.jobs_timeout", 1);
     }
 
@@ -554,36 +598,45 @@ impl Server {
         }
     }
 
-    /// Current counters: the raw snapshot behind the startup banner and
-    /// the `counters`/`tiers` sections of the `mlc-stats/1` document.
+    /// Current counters and gauges: the typed view behind the startup
+    /// banner, read from one snapshot of [`Server::metrics`].
     pub fn stats(&self) -> Stats {
-        let disk = self.cache.disk();
-        let (disk_evictions, disk_evicted_bytes) = disk.eviction_totals();
+        self.stats_of(&self.metrics.snapshot())
+    }
+
+    fn stats_of(&self, snap: &MetricsSnapshot) -> Stats {
         Stats {
-            jobs_computed: self.jobs_computed.load(Ordering::Relaxed),
-            jobs_recovered: self.jobs_recovered.load(Ordering::Relaxed),
-            jobs_coalesced: self.jobs_coalesced.load(Ordering::Relaxed),
-            mem_entries: self.cache.mem_entries() as u64,
-            disk_entries: self.cache.disk_entries() as u64,
-            uptime_ms: self.started.elapsed().as_millis() as u64,
-            jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
-            jobs_timeout: self.jobs_timeout.load(Ordering::Relaxed),
-            disk_bytes: disk.disk_bytes(),
-            disk_evictions,
-            disk_evicted_bytes,
+            jobs_computed: snap.counter("serve.jobs_computed"),
+            jobs_recovered: snap.counter("serve.jobs_recovered"),
+            jobs_coalesced: snap.counter("serve.jobs_coalesced"),
+            jobs_shed: snap.counter("serve.jobs_shed"),
+            jobs_timeout: snap.counter("serve.jobs_timeout"),
+            jobs_inflight: self.telemetry.inflight() as u64,
             handlers_active: self.handlers_active(),
-            spool_orphans: disk.orphans_removed(),
+            spool_orphans: snap.counter("serve.spool_orphans"),
+            events_dropped: snap.counter("serve.events_dropped"),
+            conns_rejected: snap.counter("serve.conns_rejected"),
+            accept_errors: snap.counter("serve.accept_errors"),
+            mem_hits: snap.counter("serve.mem_hits"),
+            mem_entries: self.cache.mem_entries() as u64,
+            disk_hits: snap.counter("serve.disk_hits"),
+            disk_entries: self.cache.disk_entries() as u64,
+            disk_bytes: self.cache.disk().disk_bytes(),
+            disk_evictions: snap.counter("serve.disk_evictions"),
+            disk_evicted_bytes: snap.counter("serve.disk_evicted_bytes"),
+            misses: snap.counter("serve.misses"),
+            uptime_ms: self.started.elapsed().as_millis() as u64,
         }
     }
 
     /// The full telemetry document a `stats` request returns: the
-    /// versioned `mlc-stats/1` JSON doc described in DESIGN.md §18.
-    /// `version` is the serving binary's version string.
+    /// versioned `mlc-stats/1` JSON doc described in DESIGN.md §18,
+    /// rendered from one snapshot of [`Server::metrics`] plus the live
+    /// gauges. `version` is the serving binary's version string.
     pub fn stats_doc(&self, version: &str) -> JsonValue {
-        let stats = self.stats();
-        let t = &self.telemetry;
-        let (mem_hits, disk_hits, misses) = (t.mem_hits(), t.disk_hits(), t.misses());
-        let lookups = mem_hits + disk_hits + misses;
+        let snap = self.metrics.snapshot();
+        let stats = self.stats_of(&snap);
+        let lookups = stats.mem_hits + stats.disk_hits + stats.misses;
         let ratio = |hits: u64| {
             if lookups == 0 {
                 JsonValue::Null
@@ -593,7 +646,7 @@ impl Server {
         };
         let quantile = |v: Option<u64>| v.map(JsonValue::U64).unwrap_or(JsonValue::Null);
         let stages = Stage::ALL.iter().map(|&stage| {
-            let hist = t.stage_histogram(stage);
+            let hist = snap.hist(&stage_metric(stage)).cloned().unwrap_or_default();
             let mut fields = match hist.to_json() {
                 JsonValue::Object(fields) => fields,
                 _ => unreachable!("Log2Histogram::to_json returns an object"),
@@ -616,10 +669,12 @@ impl Server {
                     ("jobs_coalesced".into(), stats.jobs_coalesced.into()),
                     ("jobs_shed".into(), stats.jobs_shed.into()),
                     ("jobs_timeout".into(), stats.jobs_timeout.into()),
-                    ("jobs_inflight".into(), (t.inflight() as u64).into()),
+                    ("jobs_inflight".into(), stats.jobs_inflight.into()),
                     ("handlers_active".into(), stats.handlers_active.into()),
                     ("spool_orphans".into(), stats.spool_orphans.into()),
-                    ("events_dropped".into(), t.events_dropped().into()),
+                    ("events_dropped".into(), stats.events_dropped.into()),
+                    ("conns_rejected".into(), stats.conns_rejected.into()),
+                    ("accept_errors".into(), stats.accept_errors.into()),
                 ]),
             ),
             (
@@ -628,29 +683,29 @@ impl Server {
                     (
                         "memory".into(),
                         JsonValue::object([
-                            ("hits".into(), mem_hits.into()),
+                            ("hits".into(), stats.mem_hits.into()),
                             ("entries".into(), stats.mem_entries.into()),
                         ]),
                     ),
                     (
                         "disk".into(),
                         JsonValue::object([
-                            ("hits".into(), disk_hits.into()),
+                            ("hits".into(), stats.disk_hits.into()),
                             ("entries".into(), stats.disk_entries.into()),
                             ("bytes".into(), stats.disk_bytes.into()),
                             ("evictions".into(), stats.disk_evictions.into()),
                             ("evicted_bytes".into(), stats.disk_evicted_bytes.into()),
                         ]),
                     ),
-                    ("misses".into(), misses.into()),
+                    ("misses".into(), stats.misses.into()),
                 ]),
             ),
             (
                 "hit_ratio".into(),
                 JsonValue::object([
-                    ("memory".into(), ratio(mem_hits)),
-                    ("disk".into(), ratio(disk_hits)),
-                    ("overall".into(), ratio(mem_hits + disk_hits)),
+                    ("memory".into(), ratio(stats.mem_hits)),
+                    ("disk".into(), ratio(stats.disk_hits)),
+                    ("overall".into(), ratio(stats.mem_hits + stats.disk_hits)),
                 ]),
             ),
             ("stages".into(), JsonValue::Object(stages.collect())),
@@ -658,26 +713,33 @@ impl Server {
     }
 
     /// Cache-only lookup (the `fetch` request): never computes. Each
-    /// tier probe is timed and counted like a submission's would be
+    /// tier probe is timed and counted like a submission's
     /// (fetches carry no trace context of their own).
     pub fn fetch(&self, key: &str) -> Option<(Arc<DesignGrid>, Tier)> {
+        self.lookup(key, "")
+    }
+
+    /// Probes the memory tier, then the disk tier: each probe is timed
+    /// as a span and the outcome counted as a hit on one tier or a
+    /// miss.
+    fn lookup(&self, key: &str, trace_id: &str) -> Option<(Arc<DesignGrid>, Tier)> {
         let t = Instant::now();
-        if let Some(grid) = self.cache.lookup_mem(key) {
-            self.telemetry.record_span(Stage::MemLookup, "", t);
-            self.telemetry.note_mem_hit();
+        let mem_hit = self.cache.lookup_mem(key);
+        self.telemetry.record_span(Stage::MemLookup, trace_id, t);
+        if let Some(grid) = mem_hit {
+            self.metrics.add("serve.mem_hits", 1);
             return Some((grid, Tier::Memory));
         }
-        self.telemetry.record_span(Stage::MemLookup, "", t);
         let t = Instant::now();
-        let hit = self.cache.lookup_disk(key);
-        self.telemetry.record_span(Stage::DiskLookup, "", t);
-        match hit {
+        let disk_hit = self.cache.lookup_disk(key);
+        self.telemetry.record_span(Stage::DiskLookup, trace_id, t);
+        match disk_hit {
             Some(grid) => {
-                self.telemetry.note_disk_hit();
+                self.metrics.add("serve.disk_hits", 1);
                 Some((grid, Tier::Disk))
             }
             None => {
-                self.telemetry.note_miss();
+                self.metrics.add("serve.misses", 1);
                 None
             }
         }
@@ -699,7 +761,7 @@ impl Server {
                 return JobStatus::Running {
                     rows_done: st.rows_done as u64,
                     rows_total: job.rows_total as u64,
-                    events_dropped: job.events_dropped.load(Ordering::Relaxed),
+                    events_dropped: st.events_dropped,
                 };
             }
         }
@@ -772,7 +834,7 @@ impl Server {
         let mut jobs = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(job) = jobs.get(&key).cloned() {
             drop(jobs);
-            self.jobs_coalesced.fetch_add(1, Ordering::Relaxed);
+            self.metrics.add("serve.jobs_coalesced", 1);
             // A follower that brought no context of its own follows
             // the job under the id that started it, so the whole
             // coalesced flight shares one trace.
@@ -791,31 +853,14 @@ impl Server {
                 events,
             }));
         }
-        let t = Instant::now();
-        let mem_hit = self.cache.lookup_mem(&key);
-        self.telemetry.record_span(Stage::MemLookup, &trace_id, t);
-        if let Some(grid) = mem_hit {
-            self.telemetry.note_mem_hit();
+        if let Some((grid, tier)) = self.lookup(&key, &trace_id) {
             return Ok(SubmitOutcome::Cached {
                 key,
                 grid,
-                tier: Tier::Memory,
+                tier,
                 trace_id,
             });
         }
-        let t = Instant::now();
-        let disk_hit = self.cache.lookup_disk(&key);
-        self.telemetry.record_span(Stage::DiskLookup, &trace_id, t);
-        if let Some(grid) = disk_hit {
-            self.telemetry.note_disk_hit();
-            return Ok(SubmitOutcome::Cached {
-                key,
-                grid,
-                tier: Tier::Disk,
-                trace_id,
-            });
-        }
-        self.telemetry.note_miss();
 
         // Admission control: a full job table sheds (cache hits and
         // coalesced attaches above cost nothing, so they always pass).
@@ -888,13 +933,15 @@ impl Server {
     pub fn recover(self: &Arc<Self>) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         // Janitor first: clear kill-9 leftovers (spec temp files,
-        // journals whose sidecar is gone) before resuming anything.
-        let swept = self.cache.disk().janitor();
-        if swept > 0 {
-            self.metrics.add("serve.spool_orphans", swept);
-        }
-        let entries = match self.cache.disk().scan_jobs() {
-            Ok(entries) => entries,
+        // journals whose sidecar is gone) before resuming anything;
+        // the scan then heals specs it cannot resume.
+        let disk = self.cache.disk();
+        let swept = disk.janitor();
+        let scanned = disk.scan_jobs();
+        let healed = scanned.as_ref().map_or(0, |(_, healed)| *healed);
+        self.metrics.add("serve.spool_orphans", swept + healed);
+        let entries = match scanned {
+            Ok((entries, _)) => entries,
             Err(e) => {
                 report.errors.push(format!("spool scan failed: {e}"));
                 return report;
@@ -979,7 +1026,7 @@ impl Server {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .insert(spec.key.clone(), job.clone());
-        self.jobs_recovered.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add("serve.jobs_recovered", 1);
         self.telemetry.job_started();
         let server = Arc::clone(self);
         let key = spec.key.clone();
@@ -1062,14 +1109,11 @@ impl Server {
                     let t = Instant::now();
                     let evicted = self.cache.disk().enforce_budget(Some(&stem));
                     self.telemetry.record_span(Stage::Evict, &job.trace_id, t);
-                    if evicted.evicted > 0 {
-                        self.metrics.add("serve.disk_evictions", evicted.evicted);
-                        self.metrics
-                            .add("serve.disk_evicted_bytes", evicted.evicted_bytes);
-                    }
+                    self.metrics.add("serve.disk_evictions", evicted.evicted);
+                    self.metrics
+                        .add("serve.disk_evicted_bytes", evicted.evicted_bytes);
                     let grid = Arc::new(run.grid);
                     self.cache.insert(&key, grid.clone());
-                    self.jobs_computed.fetch_add(1, Ordering::Relaxed);
                     self.metrics.add("serve.jobs_computed", 1);
                     Ok(grid)
                 }
@@ -1085,7 +1129,7 @@ impl Server {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .remove(&key);
-        job.finish(JobDone {
+        let dropped = job.finish(JobDone {
             key,
             source: Source::Computed,
             rows_resumed: job.rows_resumed as u64,
@@ -1093,10 +1137,6 @@ impl Server {
             dropped: 0,
         });
         self.telemetry.job_finished();
-        let dropped = job.events_dropped.load(Ordering::Relaxed);
-        if dropped > 0 {
-            self.metrics.add("serve.events_dropped", dropped);
-            self.telemetry.add_events_dropped(dropped);
-        }
+        self.metrics.add("serve.events_dropped", dropped);
     }
 }

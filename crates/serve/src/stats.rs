@@ -1,93 +1,40 @@
-//! Lock-free request-lifecycle telemetry: the sharded span recorder
-//! behind the daemon's `mlc-stats/1` document.
+//! Request-lifecycle spans behind the daemon's `mlc-stats/1` document.
 //!
 //! Every served request crosses a fixed set of lifecycle stages
-//! ([`Stage`]); each crossing is recorded as a span — a duration
-//! sample in a per-stage log2 histogram plus, optionally, a retained
-//! [`SpanRecord`] for Perfetto export. The hot path takes no lock:
-//! span ids come from one atomic counter, and each span lands in the
-//! shard `span_id % STATS_SHARDS`, touching only relaxed atomics.
-//! Aggregation happens on *read* ([`ServerStats::stage_histogram`]):
-//! the stats endpoint sums the shards into a [`Log2Histogram`], so a
-//! client polling `stats` never stalls a handler mid-request.
+//! ([`Stage`]); each crossing is recorded as a span: one microsecond
+//! sample in the `serve.stage.<stage>` histogram of the server's
+//! [`Metrics`] handle — the handle that also holds every daemon
+//! counter — plus, optionally, a retained [`SpanRecord`] for Perfetto
+//! export. What lives here is only what is not a count: span-id
+//! minting, the capped retained-span log, and the in-flight job gauge.
 //!
-//! Tier traffic (memory hits, disk hits, misses), the in-flight job
-//! gauge, and the dropped-event total live here too — the counters the
-//! paper's tier-time argument needs, applied to the serving layer.
+//! One lock guards the handle, and the measured traffic does not
+//! contend for it: the `serve_hits` benchmark drives about 6 requests/s
+//! from two closed-loop clients, at about 5 spans per request, and a
+//! span holds the lock for one map lookup and one histogram increment.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use mlc_obs::span::{SpanRecord, Stage};
-use mlc_obs::{Log2Histogram, LOG2_BUCKETS};
+use mlc_obs::Metrics;
 
-/// Number of shards span recordings are spread over. A small power of
-/// two: enough to keep concurrent handlers off each other's cache
-/// lines, cheap to sum on read.
-pub const STATS_SHARDS: usize = 8;
-
-/// The shard a span id is recorded in.
-pub fn shard_of(span_id: u64) -> usize {
-    (span_id % STATS_SHARDS as u64) as usize
+/// The histogram a stage's spans are recorded in.
+pub fn stage_metric(stage: Stage) -> String {
+    format!("serve.stage.{}", stage.as_str())
 }
 
-/// One stage's atomic histogram cell: log2 buckets plus the exact
-/// count/sum/max needed to reassemble a [`Log2Histogram`] losslessly.
-struct StageCell {
-    buckets: [AtomicU64; LOG2_BUCKETS],
-    count: AtomicU64,
-    /// Sum of microsecond durations; u64 overflows after ~585k
-    /// core-years of recorded spans, which is not a server lifetime.
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl StageCell {
-    fn new() -> Self {
-        StageCell {
-            buckets: [const { AtomicU64::new(0) }; LOG2_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, dur_us: u64) {
-        self.buckets[Log2Histogram::bucket_index(dur_us)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(dur_us, Ordering::Relaxed);
-        self.max.fetch_max(dur_us, Ordering::Relaxed);
-    }
-}
-
-struct Shard {
-    stages: [StageCell; Stage::COUNT],
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            stages: std::array::from_fn(|_| StageCell::new()),
-        }
-    }
-}
-
-/// The server's lock-free telemetry recorder. See the module docs.
+/// The server's span recorder. See the module docs.
 pub struct ServerStats {
-    shards: [Shard; STATS_SHARDS],
+    metrics: Metrics,
     next_span_id: AtomicU64,
     epoch: Instant,
-    mem_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    events_dropped: AtomicU64,
     inflight: AtomicUsize,
     /// Spans retained verbatim for Perfetto export. Behind a Mutex —
-    /// only taken when retention is enabled (`retain_cap > 0`), so the
-    /// default hot path stays lock-free. Capped: a long-lived daemon
-    /// keeps the first `retain_cap` spans rather than growing without
-    /// bound.
+    /// only taken when retention is enabled (`retain_cap > 0`). Capped:
+    /// a long-lived daemon keeps the first `retain_cap` spans rather
+    /// than growing without bound.
     retained: Mutex<Vec<SpanRecord>>,
     retain_cap: usize,
 }
@@ -102,18 +49,14 @@ impl std::fmt::Debug for ServerStats {
 }
 
 impl ServerStats {
-    /// A fresh recorder. `retain_cap` bounds the spans kept verbatim
-    /// for Perfetto export; 0 disables retention (histograms and
-    /// counters still record).
-    pub fn new(retain_cap: usize) -> Self {
+    /// A fresh recorder that files stage histograms into `metrics`.
+    /// `retain_cap` bounds the spans kept verbatim for Perfetto export;
+    /// 0 disables retention (histograms still record).
+    pub fn new(metrics: Metrics, retain_cap: usize) -> Self {
         ServerStats {
-            shards: std::array::from_fn(|_| Shard::new()),
+            metrics,
             next_span_id: AtomicU64::new(0),
             epoch: Instant::now(),
-            mem_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            events_dropped: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
             retained: Mutex::new(Vec::new()),
             retain_cap,
@@ -129,7 +72,7 @@ impl ServerStats {
             .duration_since(started)
             .as_micros()
             .min(u64::MAX as u128) as u64;
-        self.shards[shard_of(span_id)].stages[stage.index()].record(dur_us);
+        self.metrics.record(&stage_metric(stage), dur_us);
         if self.retain_cap > 0 {
             let start_us = started
                 .saturating_duration_since(self.epoch)
@@ -149,34 +92,9 @@ impl ServerStats {
         span_id
     }
 
-    /// The spans recorded so far (total across all stages and shards).
+    /// The spans recorded so far (total across all stages).
     pub fn spans_recorded(&self) -> u64 {
         self.next_span_id.load(Ordering::Relaxed)
-    }
-
-    /// Aggregates one stage's duration distribution (microseconds)
-    /// across all shards.
-    pub fn stage_histogram(&self, stage: Stage) -> Log2Histogram {
-        let mut counts = [0u64; LOG2_BUCKETS];
-        let (mut count, mut sum, mut max) = (0u64, 0u128, 0u64);
-        for shard in &self.shards {
-            let cell = &shard.stages[stage.index()];
-            for (total, bucket) in counts.iter_mut().zip(cell.buckets.iter()) {
-                *total += bucket.load(Ordering::Relaxed);
-            }
-            count += cell.count.load(Ordering::Relaxed);
-            sum += cell.sum.load(Ordering::Relaxed) as u128;
-            max = max.max(cell.max.load(Ordering::Relaxed));
-        }
-        Log2Histogram::from_raw(counts, count, sum, max)
-    }
-
-    /// One shard's sample count for one stage — introspection for the
-    /// sharding property tests.
-    pub fn shard_stage_count(&self, shard: usize, stage: Stage) -> u64 {
-        self.shards[shard].stages[stage.index()]
-            .count
-            .load(Ordering::Relaxed)
     }
 
     /// A copy of the retained spans (empty when retention is off).
@@ -185,49 +103,6 @@ impl ServerStats {
             .lock()
             .expect("stats retention poisoned")
             .clone()
-    }
-
-    /// Counts a memory-tier cache hit.
-    pub fn note_mem_hit(&self) {
-        self.mem_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a disk-tier cache hit.
-    pub fn note_disk_hit(&self) {
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a full cache miss (both tiers probed, neither answered).
-    pub fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Memory-tier hits so far.
-    pub fn mem_hits(&self) -> u64 {
-        self.mem_hits.load(Ordering::Relaxed)
-    }
-
-    /// Disk-tier hits so far.
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    /// Full misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Adds `n` to the dropped-event total (per-job drops folded in as
-    /// each job finishes).
-    pub fn add_events_dropped(&self, n: u64) {
-        if n > 0 {
-            self.events_dropped.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Subscriber events dropped across all finished jobs.
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped.load(Ordering::Relaxed)
     }
 
     /// Marks a sweep job in flight.
@@ -249,35 +124,25 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
-    fn spans_land_in_their_shard_and_aggregate_conserves() {
-        let stats = ServerStats::new(64);
+    fn spans_land_in_their_stage_histogram() {
+        let metrics = Metrics::enabled();
+        let stats = ServerStats::new(metrics.clone(), 0);
         let t0 = Instant::now();
         for _ in 0..100 {
             stats.record_span(Stage::Simulate, "trc-x", t0);
         }
-        let hist = stats.stage_histogram(Stage::Simulate);
-        assert_eq!(hist.count(), 100);
-        let per_shard: u64 = (0..STATS_SHARDS)
-            .map(|s| stats.shard_stage_count(s, Stage::Simulate))
-            .sum();
-        assert_eq!(per_shard, 100, "every span lands in exactly one shard");
-        // Sequential ids round-robin the shards evenly.
-        for s in 0..STATS_SHARDS {
-            assert_eq!(
-                stats.shard_stage_count(s, Stage::Simulate),
-                100 / STATS_SHARDS as u64 + u64::from(s < 100 % STATS_SHARDS)
-            );
-        }
-        assert!(stats.stage_histogram(Stage::Reply).is_empty());
+        let snap = metrics.snapshot();
+        let simulate = snap.hist(&stage_metric(Stage::Simulate));
+        assert_eq!(simulate.map(|h| h.count()), Some(100));
+        assert!(snap.hist(&stage_metric(Stage::Reply)).is_none());
+        assert_eq!(stage_metric(Stage::MemLookup), "serve.stage.mem-lookup");
     }
 
     #[test]
     fn retention_caps_and_copies() {
-        let stats = ServerStats::new(2);
+        let stats = ServerStats::new(Metrics::enabled(), 2);
         let t0 = Instant::now();
         for _ in 0..5 {
             stats.record_span(Stage::Reply, "trc-r", t0);
@@ -287,52 +152,43 @@ mod tests {
         assert_eq!(stats.spans_recorded(), 5, "histograms keep recording");
         assert!(retained.iter().all(|s| s.trace_id == "trc-r"));
 
-        let off = ServerStats::new(0);
+        let off = ServerStats::new(Metrics::enabled(), 0);
         off.record_span(Stage::Reply, "trc-r", t0);
         assert!(off.retained_spans().is_empty());
     }
 
     #[test]
     fn concurrent_recording_keeps_ids_unique_and_counts_exact() {
-        let stats = Arc::new(ServerStats::new(4096));
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let stats = Arc::clone(&stats);
-                std::thread::spawn(move || {
-                    let t0 = Instant::now() - Duration::from_micros(t);
+        let metrics = Metrics::enabled();
+        let stats = ServerStats::new(metrics.clone(), 4096);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let stats = &stats;
+                scope.spawn(move || {
+                    let t0 = Instant::now() - std::time::Duration::from_micros(t);
                     for _ in 0..500 {
                         stats.record_span(Stage::Parse, &format!("trc-{t}"), t0);
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
+                });
+            }
+        });
         assert_eq!(stats.spans_recorded(), 4000);
-        assert_eq!(stats.stage_histogram(Stage::Parse).count(), 4000);
+        let parse = metrics
+            .snapshot()
+            .hist(&stage_metric(Stage::Parse))
+            .cloned();
+        assert_eq!(parse.map(|h| h.count()), Some(4000));
         let ids: std::collections::BTreeSet<u64> =
             stats.retained_spans().iter().map(|s| s.span_id).collect();
         assert_eq!(ids.len(), 4000, "span ids never collide");
     }
 
     #[test]
-    fn tier_counters_and_gauges() {
-        let stats = ServerStats::new(0);
-        stats.note_mem_hit();
-        stats.note_mem_hit();
-        stats.note_disk_hit();
-        stats.note_miss();
-        assert_eq!(
-            (stats.mem_hits(), stats.disk_hits(), stats.misses()),
-            (2, 1, 1)
-        );
+    fn inflight_gauge_follows_jobs() {
+        let stats = ServerStats::new(Metrics::enabled(), 0);
         stats.job_started();
         stats.job_started();
         stats.job_finished();
         assert_eq!(stats.inflight(), 1);
-        stats.add_events_dropped(0);
-        stats.add_events_dropped(3);
-        assert_eq!(stats.events_dropped(), 3);
     }
 }

@@ -42,7 +42,6 @@ use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
@@ -97,9 +96,6 @@ pub struct DiskStore {
     chaos: Arc<FaultInjector>,
     /// Stems that must not be evicted right now (mid-read pins).
     pinned: Mutex<HashSet<String>>,
-    evictions: AtomicU64,
-    evicted_bytes: AtomicU64,
-    orphans_removed: AtomicU64,
 }
 
 /// Unpins a stem when a disk read finishes (any exit path).
@@ -147,9 +143,6 @@ impl DiskStore {
             budget,
             chaos,
             pinned: Mutex::new(HashSet::new()),
-            evictions: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
-            orphans_removed: AtomicU64::new(0),
         })
     }
 
@@ -294,9 +287,6 @@ impl DiskStore {
                 report.evicted_bytes += size;
             }
         }
-        self.evictions.fetch_add(report.evicted, Ordering::Relaxed);
-        self.evicted_bytes
-            .fetch_add(report.evicted_bytes, Ordering::Relaxed);
         report
     }
 
@@ -369,15 +359,15 @@ impl DiskStore {
     }
 
     /// Every spool entry with a readable spec and an existing journal,
-    /// as `(stem, spec)`. Malformed specs and orphaned sidecars are
-    /// removed — the spool self-heals rather than replaying garbage
-    /// forever.
+    /// as `(stem, spec)`, plus how many entries were healed: malformed
+    /// specs and orphaned sidecars are removed — the spool self-heals
+    /// rather than replaying garbage forever.
     ///
     /// # Errors
     ///
     /// Any I/O error from listing the spool directory.
-    pub fn scan_jobs(&self) -> io::Result<Vec<(String, JobSpec)>> {
-        let mut out = Vec::new();
+    pub fn scan_jobs(&self) -> io::Result<(Vec<(String, JobSpec)>, u64)> {
+        let (mut out, mut healed) = (Vec::new(), 0);
         for entry in fs::read_dir(self.root.join("jobs"))? {
             let path = entry?.path();
             if path.extension().is_none_or(|e| e != "job") {
@@ -396,12 +386,12 @@ impl DiskStore {
                 _ => {
                     let _ = fs::remove_file(&path);
                     let _ = fs::remove_file(self.job_journal_path(&stem));
-                    self.orphans_removed.fetch_add(1, Ordering::Relaxed);
+                    healed += 1;
                 }
             }
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+        Ok((out, healed))
     }
 
     /// Sweeps the spool for leftovers a `kill -9` can strand: temp
@@ -426,7 +416,6 @@ impl DiskStore {
                 removed += 1;
             }
         }
-        self.orphans_removed.fetch_add(removed, Ordering::Relaxed);
         removed
     }
 
@@ -451,18 +440,5 @@ impl DiskStore {
     /// Bytes the committed tier currently occupies.
     pub fn disk_bytes(&self) -> u64 {
         self.scan_cache_entries().iter().map(|e| e.1).sum()
-    }
-
-    /// Lifetime eviction totals: `(entries, bytes)`.
-    pub fn eviction_totals(&self) -> (u64, u64) {
-        (
-            self.evictions.load(Ordering::Relaxed),
-            self.evicted_bytes.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Spool orphans removed by the janitor and spec-scan healing.
-    pub fn orphans_removed(&self) -> u64 {
-        self.orphans_removed.load(Ordering::Relaxed)
     }
 }

@@ -69,6 +69,45 @@ fn enospc_mid_journal_is_retryable_and_heals() {
 }
 
 #[test]
+fn enospc_on_the_job_spec_is_retryable_and_leaves_no_job() {
+    let root = temp_root("spec_enospc");
+    let trace = write_trace(&root, 20_000);
+    let reference = Server::new(ServerConfig::new(root.join("ref"))).unwrap();
+    let SubmitOutcome::Running(sub) = reference.submit(&request(&trace, SIZES)).unwrap() else {
+        panic!("empty store cannot hit");
+    };
+    let want = bits(&drain(&sub).unwrap());
+
+    // The job-spec write fails as ENOSPC, before anything is spooled.
+    let chaos = FaultInjector::none();
+    chaos.arm_spec_enospc(1);
+    let mut config = ServerConfig::new(root.join("store"));
+    config.chaos = Arc::clone(&chaos);
+    let server = Server::new(config).unwrap();
+    match server.submit(&request(&trace, SIZES)) {
+        Err(SubmitError::Io(message)) => {
+            assert!(message.contains("spooling job spec failed"), "{message}");
+        }
+        other => panic!("expected a spooling I/O error, got {other:?}"),
+    }
+    assert_eq!(chaos.injected(), 1);
+    assert!(
+        server.drain(Duration::ZERO),
+        "a failed spool leaves no job-table entry"
+    );
+
+    // The retry starts a fresh job (nothing to coalesce onto) and
+    // computes the unfaulted bits.
+    let SubmitOutcome::Running(sub) = server.submit(&request(&trace, SIZES)).unwrap() else {
+        panic!("a failed spool must not look cached");
+    };
+    assert!(!sub.coalesced);
+    assert_eq!(sub.rows_resumed, 0);
+    assert_eq!(bits(&drain(&sub).unwrap()), want, "retry must match");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn torn_commit_rename_is_retryable_and_resumes_without_recompute() {
     let root = temp_root("torn");
     let trace = write_trace(&root, 20_000);

@@ -155,11 +155,6 @@ impl MultiProgramGenerator {
         self.switches
     }
 
-    /// Index of the process currently scheduled.
-    pub fn current_process(&self) -> usize {
-        self.current
-    }
-
     /// Materialises exactly `n` records (cycles are never split: the final
     /// cycle's data reference is included even if it lands at index `n`,
     /// so the result may contain `n + 1` records when the cut falls inside
