@@ -63,6 +63,21 @@ MLC_BENCH_SAMPLES=1 MLC_SWEEP_RECORDS=20000 \
     MLC_BENCH_INGEST_OUT="$(pwd)/target/mlc-results/BENCH_ingest_smoke.json" \
     cargo bench -p mlc-bench --bench sweep_engines --offline
 
+echo "==> Figure 3-1 curve smoke (200K records)"
+# The curve end to end at bench scale: one CSV row per L2 size of the
+# ladder (8 KB to 4 MB behind the 4 KB L1), and because the L1 filters
+# references, not misses, the global miss ratio never exceeds the local
+# one.
+fig3_csv=target/mlc-results/fig3_1.csv
+rm -f "$fig3_csv"
+MLC_RECORDS=200000 cargo bench -p mlc-bench --bench fig3_1_miss_ratios --offline
+if ! awk -F, 'NR > 1 { rows++; if ($2 == "-" || $3 == "-" || $3 + 0 > $2 + 0) bad++ }
+    END { exit !(rows == 10 && bad == 0) }' "$fig3_csv"; then
+    echo "ci.sh: $fig3_csv needs 10 rows, each with global <= local" >&2
+    cat "$fig3_csv" >&2 || true
+    exit 1
+fi
+
 echo "==> per-stage perf smoke (ratios asserted, absolutes warn-only)"
 ingest_smoke=target/mlc-results/BENCH_ingest_smoke.json
 jq -e '.schema == "mlc-bench/1" and .bench == "ingest_stages"' \

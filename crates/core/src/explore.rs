@@ -13,8 +13,8 @@ use mlc_cache::{ByteSize, CacheConfig, ConfigError};
 use mlc_obs::{JournalHeader, Metrics, Progress};
 use mlc_sim::machine::BaseMachine;
 use mlc_sim::{
-    simulate_timing_sweep, simulate_with_warmup, simulate_with_warmup_observed, solo,
-    HierarchyConfig, LevelCacheConfig, SimResult,
+    simulate_timing_sweep, simulate_with_warmup, simulate_with_warmup_observed,
+    simulate_with_warmup_tapped, solo, HierarchyConfig, LevelCacheConfig, SimResult,
 };
 use mlc_trace::TraceRecord;
 
@@ -149,6 +149,26 @@ impl DesignGrid {
     }
 }
 
+/// `base` with an L2 of `size`.
+///
+/// # Panics
+///
+/// Panics if the machine is invalid — sweeps are driven from validated
+/// size lists, so this indicates a caller bug.
+fn l2_machine(base: &BaseMachine, size: ByteSize) -> HierarchyConfig {
+    let mut machine = base.clone();
+    machine.l2_total(size);
+    machine.build().expect("sweep configurations are valid")
+}
+
+/// The L2 cache of a [`BaseMachine`] configuration.
+fn l2_cache(config: &HierarchyConfig) -> CacheConfig {
+    match config.levels[1].cache {
+        LevelCacheConfig::Unified(c) => c,
+        LevelCacheConfig::Split { .. } => unreachable!("BaseMachine L2 is unified"),
+    }
+}
+
 /// A sweep driver over one reference trace.
 ///
 /// # Examples
@@ -187,9 +207,11 @@ impl<'t> Explorer<'t> {
     }
 
     /// Feeds per-phase timings and event counts from every sweep into
-    /// `metrics`. Sweeps record one `grid.size.<size>` phase per swept
-    /// L2 size plus the per-pass `sweep.*` / `sim.*` / `solo.*` phases
-    /// of the underlying drivers.
+    /// `metrics`. Grids record one `grid.size.<size>` phase per swept
+    /// L2 size, and miss-ratio curves one `curve.hierarchy` phase for
+    /// their one tapped run (or one `curve.size.<size>` phase per size
+    /// where they run per size), plus the per-pass `sweep.*` / `sim.*` /
+    /// `solo.*` phases of the underlying drivers.
     pub fn with_metrics(mut self, metrics: &'t Metrics) -> Self {
         self.metrics = Some(metrics);
         self
@@ -227,75 +249,114 @@ impl<'t> Explorer<'t> {
     /// Figure 3's sweep: local/global/solo L2 read miss ratios across
     /// `sizes`, on the hierarchy described by `base`.
     ///
-    /// The hierarchy runs (one per size, for the local/global columns)
-    /// are unavoidable, but the solo column needs no hierarchy at all:
-    /// when the L2 organisation admits it (see
-    /// [`SoloMissSweep::supports`]), all sizes' solo miss counts come
-    /// from **one** stack-simulation pass over the trace instead of one
-    /// functional simulation per size. Exotic organisations fall back to
-    /// the per-size solo runs transparently.
+    /// With write-back caches the L1 filters the trace the same way
+    /// whatever the L2 size — the paper's §3 independence result — so
+    /// where the machine guarantees it
+    /// ([`HierarchyConfig::level1_stream_fixed`]) and the L2 admits a
+    /// stack pass at every size ([`SoloMissSweep::supports`],
+    /// [`SoloMissSweep::admits_size`]), the curve takes **one**
+    /// hierarchy run. That run feeds its L2 reference stream to a
+    /// [`SoloMissSweep`], which counts the L2's read misses at every
+    /// size (local = misses / L2 read references, global = misses / the
+    /// run's CPU reads). Meanwhile a second thread makes the serial
+    /// stack pass over the CPU trace for the solo column. Any other
+    /// machine gets one hierarchy run and one solo simulation per size.
+    /// Both paths give bit-identical values.
     pub fn miss_ratio_curve(&self, base: &BaseMachine, sizes: &[ByteSize]) -> Vec<MissRatioPoint> {
-        if sizes.is_empty() {
+        // Any size of the ladder gives the same L2 stream; the largest
+        // misses least, so its run has the least memory traffic to price.
+        let Some(&largest) = sizes.iter().max() else {
             return Vec::new();
-        }
-        let l2_at = |size: ByteSize| -> CacheConfig {
-            let mut machine = base.clone();
-            machine.l2_total(size);
-            let config = machine.build().expect("sweep configurations are valid");
-            match config.levels[1].cache {
-                LevelCacheConfig::Unified(c) => c,
-                LevelCacheConfig::Split { .. } => unreachable!("BaseMachine L2 is unified"),
-            }
         };
-        let base_l2 = l2_at(sizes[0]);
-        let block_bytes = base_l2.geometry().block_bytes();
-        let ways = base_l2.geometry().ways();
-        let one_pass_solo = SoloMissSweep::supports(&base_l2)
+        let config = l2_machine(base, largest);
+        let l2 = l2_cache(&config);
+        let block_bytes = l2.geometry().block_bytes();
+        let ways = l2.geometry().ways();
+        let one_pass = config.level1_stream_fixed()
+            && SoloMissSweep::supports(&l2)
             && sizes
                 .iter()
                 .all(|&s| SoloMissSweep::admits_size(block_bytes, ways, s));
+        if one_pass {
+            self.curve_one_pass(config, sizes)
+        } else {
+            self.curve_per_size(base, sizes)
+        }
+    }
 
+    /// [`Explorer::miss_ratio_curve`] from one hierarchy run of `config`
+    /// (one size of the ladder) tapped at the L2, with the solo column's
+    /// stack pass on a second thread.
+    fn curve_one_pass(&self, config: HierarchyConfig, sizes: &[ByteSize]) -> Vec<MissRatioPoint> {
+        let geometry = l2_cache(&config).geometry();
+        let (block_bytes, ways) = (geometry.block_bytes(), geometry.ways());
         let metrics = self.metrics();
-        let mut curve = par_map(sizes.to_vec(), |size| {
-            let mut machine = base.clone();
-            machine.l2_total(size);
-            let config = machine.build().expect("sweep configurations are valid");
+        let (result, l2, solo) = std::thread::scope(|scope| {
+            let solo = scope.spawn(|| {
+                SoloMissSweep::run_observed(
+                    block_bytes,
+                    ways,
+                    sizes,
+                    self.trace,
+                    self.warmup,
+                    &metrics,
+                )
+            });
+            let mut l2 = SoloMissSweep::new(block_bytes, ways, sizes);
+            let timer = metrics.time_phase("curve.hierarchy");
+            let result = simulate_with_warmup_tapped(
+                config,
+                self.trace.iter().copied(),
+                self.warmup,
+                &mut l2,
+            )
+            .expect("validated configuration");
+            timer.stop();
+            let solo = solo.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            (result, l2, solo)
+        });
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| {
+                self.tick(1);
+                // The same division as `LevelMetrics::global_read_miss_ratio`.
+                let global = match result.cpu_reads {
+                    0 => f64::NAN,
+                    reads => l2.read_misses(i) as f64 / reads as f64,
+                };
+                MissRatioPoint {
+                    size,
+                    local: l2.read_miss_ratio(i).unwrap_or(f64::NAN),
+                    global,
+                    solo: solo.read_miss_ratio(i).unwrap_or(f64::NAN),
+                }
+            })
+            .collect()
+    }
+
+    /// [`Explorer::miss_ratio_curve`] from one hierarchy run and one solo
+    /// simulation per size, in parallel: the path for machines the
+    /// one-pass test rejects.
+    fn curve_per_size(&self, base: &BaseMachine, sizes: &[ByteSize]) -> Vec<MissRatioPoint> {
+        let metrics = self.metrics();
+        par_map(sizes.to_vec(), |size| {
+            let config = l2_machine(base, size);
+            let l2 = LevelCacheConfig::Unified(l2_cache(&config));
             let timer = metrics.time_phase(&format!("curve.size.{size}"));
             let result = simulate_with_warmup(config, self.trace.iter().copied(), self.warmup)
                 .expect("validated configuration");
-            let solo_ratio = if one_pass_solo {
-                f64::NAN // filled from the stack sweep below
-            } else {
-                solo::solo_read_miss_ratio(
-                    LevelCacheConfig::Unified(l2_at(size)),
-                    self.trace.iter().copied(),
-                    self.warmup,
-                )
-                .unwrap_or(f64::NAN)
-            };
+            let solo = solo::solo_read_miss_ratio(l2, self.trace.iter().copied(), self.warmup)
+                .unwrap_or(f64::NAN);
             timer.stop();
             self.tick(1);
             MissRatioPoint {
                 size,
                 local: result.local_read_miss_ratio(1).unwrap_or(f64::NAN),
                 global: result.global_read_miss_ratio(1).unwrap_or(f64::NAN),
-                solo: solo_ratio,
+                solo,
             }
-        });
-        if one_pass_solo {
-            let sweep = SoloMissSweep::run_sharded_observed(
-                block_bytes,
-                ways,
-                sizes,
-                self.trace,
-                self.warmup,
-                &metrics,
-            );
-            for (i, point) in curve.iter_mut().enumerate() {
-                point.solo = sweep.read_miss_ratio(i).unwrap_or(f64::NAN);
-            }
-        }
-        curve
+        })
     }
 
     /// Figure 4/5's sweep: total execution cycles over an
@@ -794,6 +855,29 @@ mod tests {
                 (w[0].size, w[0].global, w[1].size, w[1].global)
             );
         }
+    }
+
+    /// No machine `BaseMachine` builds fails the one-pass test — every
+    /// buildable L2 is a plain LRU cache with a power-of-two set count
+    /// — so the per-size fallback is checked directly: it must give the
+    /// one-pass curve bit for bit.
+    #[test]
+    fn per_size_fallback_matches_the_one_pass_curve() {
+        let t = trace(40_000);
+        let explorer = Explorer::new(&t, 10_000);
+        let sizes = size_ladder(ByteSize::kib(8), ByteSize::kib(64));
+        let mut base = BaseMachine::new();
+        base.l2_ways(2).l2_cycles(5);
+        let bits = |curve: Vec<MissRatioPoint>| -> Vec<[u64; 3]> {
+            curve
+                .iter()
+                .map(|p| [p.local.to_bits(), p.global.to_bits(), p.solo.to_bits()])
+                .collect()
+        };
+        assert_eq!(
+            bits(explorer.curve_per_size(&base, &sizes)),
+            bits(explorer.miss_ratio_curve(&base, &sizes))
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@
 
 use mlc_cache::{AllocPolicy, ByteSize, CacheConfig, Prefetch, Replacement};
 use mlc_obs::Metrics;
+use mlc_sim::Level1Sink;
 use mlc_trace::TraceRecord;
 
 use crate::par::try_par_map;
@@ -393,6 +394,20 @@ impl SoloMissSweep {
         metrics.add("solo.shards", shards);
         metrics.add("solo.read_refs", merged.read_references());
         merged
+    }
+}
+
+/// A sweep fed by [`mlc_sim::simulate_with_warmup_tapped`] counts the L2
+/// of every swept size at once: each level-1 access goes through
+/// [`SoloMissSweep::access`], and the warm-up reset zeroes the counters
+/// as [`SoloMissSweep::reset_counters`] does.
+impl Level1Sink for SoloMissSweep {
+    fn access(&mut self, rec: TraceRecord) {
+        SoloMissSweep::access(self, rec);
+    }
+
+    fn reset(&mut self) {
+        self.reset_counters();
     }
 }
 

@@ -131,8 +131,8 @@ impl ResultCache {
     }
 
     /// Records a freshly computed grid in the memory tier. (The disk
-    /// tier is populated separately, by [`DiskStore::commit`]'s atomic
-    /// journal rename.)
+    /// tier is populated separately, by the atomic journal rename of
+    /// [`DiskStore::commit_entry`].)
     pub fn insert(&self, key: &str, grid: Arc<DesignGrid>) {
         self.mem
             .lock()

@@ -183,7 +183,7 @@ fn handle(server: Arc<Server>, stream: UnixStream, version: &str) -> std::io::Re
                     &Event::Pong {
                         proto: PROTO.into(),
                         version: version.into(),
-                        uptime_ms: server.stats().uptime_ms,
+                        uptime_ms: server.uptime_ms(),
                     },
                 )?;
                 server

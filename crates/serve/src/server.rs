@@ -625,8 +625,15 @@ impl Server {
             disk_evictions: snap.counter("serve.disk_evictions"),
             disk_evicted_bytes: snap.counter("serve.disk_evicted_bytes"),
             misses: snap.counter("serve.misses"),
-            uptime_ms: self.started.elapsed().as_millis() as u64,
+            uptime_ms: self.uptime_ms(),
         }
+    }
+
+    /// Milliseconds since this server was built: the clock a `ping`
+    /// reads, without the metrics snapshot and store scan behind
+    /// [`Server::stats`].
+    pub fn uptime_ms(&self) -> u64 {
+        self.started.elapsed().as_millis() as u64
     }
 
     /// The full telemetry document a `stats` request returns: the

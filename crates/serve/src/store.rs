@@ -218,29 +218,16 @@ impl DiskStore {
     }
 
     /// Commits a completed job: atomically renames its journal from
-    /// `jobs/` into `cache/`, fsyncs both directory entries, removes
-    /// the spec sidecar, and runs an eviction pass if the tier now
-    /// exceeds its budget. The just-committed entry is never evicted by
-    /// its own commit.
+    /// `jobs/` into `cache/`, fsyncs both directory entries, and removes
+    /// the spec sidecar. The eviction pass is separate
+    /// ([`DiskStore::enforce_budget`]), so the server can attribute
+    /// commit latency and evict latency to separate lifecycle stages.
     ///
     /// # Errors
     ///
     /// Any I/O error from the rename or the directory syncs (including
     /// an injected chaos fault); the journal stays in the spool,
     /// resumable.
-    pub fn commit(&self, stem: &str) -> io::Result<EvictReport> {
-        self.commit_entry(stem)?;
-        Ok(self.enforce_budget(Some(stem)))
-    }
-
-    /// The durable half of [`DiskStore::commit`]: the rename, directory
-    /// syncs, and spec-sidecar removal, *without* the eviction pass.
-    /// Split out so the server can attribute commit latency and evict
-    /// latency to separate lifecycle stages.
-    ///
-    /// # Errors
-    ///
-    /// As [`DiskStore::commit`].
     pub fn commit_entry(&self, stem: &str) -> io::Result<()> {
         if let Some(fault) = self.chaos.commit_fault() {
             return Err(fault);

@@ -13,8 +13,8 @@ use std::time::{Duration, SystemTime};
 
 use mlc_obs::{JournalHeader, JournalRow, JournalWriter};
 use mlc_serve::{
-    grid_to_json, job_key, key_stem, DiskStore, FaultInjector, JobEvent, JobSpec, Server,
-    ServerConfig, SubmitOutcome, SubmitRequest,
+    grid_to_json, job_key, key_stem, DiskStore, EvictReport, FaultInjector, JobEvent, JobSpec,
+    Server, ServerConfig, SubmitOutcome, SubmitRequest,
 };
 
 mod common;
@@ -75,10 +75,17 @@ fn spool_entry(store: &DiskStore, header: &JournalHeader) -> String {
     key
 }
 
+/// Commits a spooled entry the way the server does: the rename, then
+/// the eviction pass that protects the entry just committed.
+fn commit(store: &DiskStore, stem: &str) -> EvictReport {
+    store.commit_entry(stem).unwrap();
+    store.enforce_budget(Some(stem))
+}
+
 /// Spools and commits an entry; returns its key.
 fn commit_entry(store: &DiskStore, header: &JournalHeader) -> String {
     let key = spool_entry(store, header);
-    store.commit(key_stem(&key).unwrap()).unwrap();
+    commit(store, key_stem(&key).unwrap());
     key
 }
 
@@ -107,7 +114,7 @@ fn budget_is_enforced_after_every_commit() {
     let (mut evicted, mut evicted_bytes) = (0, 0);
     for tag in 1..=8 {
         let key = spool_entry(&store, &header(tag));
-        let report = store.commit(key_stem(&key).unwrap()).unwrap();
+        let report = commit(&store, key_stem(&key).unwrap());
         evicted += report.evicted;
         evicted_bytes += report.evicted_bytes;
         assert!(

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use mlc_cache::CacheConfig;
+use mlc_cache::{AllocPolicy, CacheConfig, Prefetch, WritePolicy};
 
 /// An invalid hierarchy configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,14 +58,19 @@ pub enum LevelCacheConfig {
 }
 
 impl LevelCacheConfig {
+    /// The level's caches: the one cache of a unified level, or the
+    /// instruction then data halves of a split one.
+    fn caches(&self) -> impl Iterator<Item = &CacheConfig> {
+        let (first, second) = match self {
+            LevelCacheConfig::Unified(c) => (c, None),
+            LevelCacheConfig::Split { icache, dcache } => (icache, Some(dcache)),
+        };
+        std::iter::once(first).chain(second)
+    }
+
     /// Total capacity in bytes (both halves for a split level).
     pub fn total_bytes(&self) -> u64 {
-        match self {
-            LevelCacheConfig::Unified(c) => c.geometry().total_bytes(),
-            LevelCacheConfig::Split { icache, dcache } => {
-                icache.geometry().total_bytes() + dcache.geometry().total_bytes()
-            }
-        }
+        self.caches().map(|c| c.geometry().total_bytes()).sum()
     }
 }
 
@@ -252,6 +257,36 @@ impl HierarchyConfig {
     pub fn depth(&self) -> usize {
         self.levels.len()
     }
+
+    /// Whether every write level 0 queues drains before the next fetch
+    /// from cache level 1. The reference stream reaching level 1 is
+    /// then fixed by the trace alone: the same under every timing and
+    /// at every level-1 size, which lets one run stand for a whole L2
+    /// size ladder. `check-invariants` builds assert it at every
+    /// level-1 fetch; DESIGN.md §10 gives the argument.
+    ///
+    /// It holds when level 0 is write-back and write-allocate and
+    /// fetches single blocks on demand only (no prefetch, sub-blocks or
+    /// victim buffer), so a level-0 miss queues at most its one victim,
+    /// ready when the fill returns; and when level 1 also fetches single
+    /// blocks on demand only, so it is free again by the time its fill
+    /// reaches level 0.
+    pub fn level1_stream_fixed(&self) -> bool {
+        let [l0, l1, ..] = self.levels.as_slice() else {
+            return false;
+        };
+        l0.cache.caches().all(|c| {
+            c.write_policy() == WritePolicy::WriteBack
+                && c.alloc_policy() == AllocPolicy::WriteAllocate
+                && c.prefetch() == Prefetch::None
+                && c.fetch_blocks() == 1
+                && c.sub_blocks() == 1
+                && c.victim_entries() == 0
+        }) && l1
+            .cache
+            .caches()
+            .all(|c| c.prefetch() == Prefetch::None && c.fetch_blocks() == 1)
+    }
 }
 
 #[cfg(test)]
@@ -360,6 +395,59 @@ mod tests {
         let mut c = two_level();
         c.memory.gap_ns = f64::NAN;
         assert!(c.validate().is_err());
+    }
+
+    /// The L1 must queue at most one victim per miss, ready when its fill
+    /// returns, and the L2 must be free by then; anything else lets drain
+    /// timing reorder the L2 stream.
+    #[test]
+    fn level1_stream_fixed_needs_plain_write_back_levels() {
+        assert!(two_level().level1_stream_fixed());
+        let mut c = two_level();
+        c.levels[0].write_buffer_entries = 1;
+        c.levels[1].cache = LevelCacheConfig::Unified(
+            CacheConfig::builder()
+                .total(ByteSize::kib(512))
+                .block_bytes(32)
+                .ways(4)
+                .victim_entries(2)
+                .build()
+                .unwrap(),
+        );
+        assert!(c.level1_stream_fixed(), "buffer depth and L2 victims");
+
+        let l1 = |b: &mut mlc_cache::CacheConfigBuilder| {
+            let mut c = two_level();
+            let dcache = b.total(ByteSize::kib(2)).block_bytes(16).build().unwrap();
+            c.levels[0].cache = LevelCacheConfig::Split {
+                icache: cache(2, 16),
+                dcache,
+            };
+            c
+        };
+        let write_through = l1(CacheConfig::builder().write_policy(WritePolicy::WriteThrough));
+        assert!(!write_through.level1_stream_fixed());
+        let no_allocate = l1(CacheConfig::builder().alloc_policy(AllocPolicy::NoWriteAllocate));
+        assert!(!no_allocate.level1_stream_fixed());
+        let prefetch = l1(CacheConfig::builder().prefetch(Prefetch::NextBlock));
+        assert!(!prefetch.level1_stream_fixed());
+        let victims = l1(CacheConfig::builder().victim_entries(2));
+        assert!(!victims.level1_stream_fixed());
+
+        let mut c = two_level();
+        c.levels[1].cache = LevelCacheConfig::Unified(
+            CacheConfig::builder()
+                .total(ByteSize::kib(512))
+                .block_bytes(32)
+                .fetch_blocks(2)
+                .build()
+                .unwrap(),
+        );
+        assert!(!c.level1_stream_fixed(), "L2 multi-block fetch");
+
+        let mut c = two_level();
+        c.levels.truncate(1);
+        assert!(!c.level1_stream_fixed(), "no cache at level 1");
     }
 
     /// The bus checks the timing engine relies on: a zero or

@@ -46,8 +46,9 @@ impl HierarchySim {
     ///
     /// Returns a [`SimConfigError`] if the configuration is invalid.
     pub fn new(config: HierarchyConfig) -> Result<Self, SimConfigError> {
+        let obs = Attribution::new(config.depth());
         Ok(HierarchySim {
-            engine: SweepSimW::new(std::slice::from_ref(&config))?,
+            engine: SweepSimW::new(std::slice::from_ref(&config), obs)?,
         })
     }
 
@@ -152,7 +153,8 @@ pub(crate) struct Attribution {
     last_now: u64,
 }
 
-impl Observer for Attribution {
+impl Attribution {
+    /// A fresh observer for a hierarchy of `depth` cache levels.
     fn new(depth: usize) -> Self {
         Attribution {
             records: 0,
@@ -165,7 +167,9 @@ impl Observer for Attribution {
             last_now: 0,
         }
     }
+}
 
+impl Observer for Attribution {
     fn begin(&mut self) {
         self.scratch.begin();
     }
@@ -330,9 +334,18 @@ impl Attribution {
 /// run the no-op one-config sweep engine; `check-invariants` builds run
 /// the attributing engine instead, whose observer carries the checker.
 #[cfg(not(feature = "check-invariants"))]
-type PlainEngine = SweepSimW<2, crate::sweep::NoObserver>;
+fn plain_engine(
+    config: &HierarchyConfig,
+) -> Result<SweepSimW<2, crate::sweep::NoObserver>, SimConfigError> {
+    SweepSimW::new(std::slice::from_ref(config), crate::sweep::NoObserver)
+}
 #[cfg(feature = "check-invariants")]
-type PlainEngine = SweepSimW<1, Attribution>;
+fn plain_engine(config: &HierarchyConfig) -> Result<SweepSimW<1, Attribution>, SimConfigError> {
+    SweepSimW::new(
+        std::slice::from_ref(config),
+        Attribution::new(config.depth()),
+    )
+}
 
 /// The plain drivers' body: one warm-up/measure pass of `config` over
 /// `records`, phases `sim.warmup` and `sim.measure` timed into `metrics`.
@@ -345,8 +358,62 @@ pub(crate) fn simulate_plain<I>(
 where
     I: IntoIterator<Item = TraceRecord>,
 {
-    let mut sim = PlainEngine::new(std::slice::from_ref(&config))?;
+    let mut sim = plain_engine(&config)?;
     warm_then_measure(&mut sim, records, warmup, metrics, "sim");
+    Ok(sim.results().swap_remove(0))
+}
+
+/// Receives the reference stream of cache level 1 from
+/// [`simulate_with_warmup_tapped`]: every fetch on behalf of level 0
+/// (with the requester's access kind) and every level-0 write-back
+/// (as a write), in the order the engine performs them.
+pub trait Level1Sink {
+    /// One access reaching cache level 1.
+    fn access(&mut self, rec: TraceRecord);
+
+    /// The warm-up ends here: the run's statistics restart, so a sink
+    /// that counts should restart its counters too.
+    fn reset(&mut self);
+}
+
+/// The observer of [`simulate_with_warmup_tapped`]: it hands the
+/// level-1 stream and the warm-up reset to the caller's sink.
+struct Tap<'s, S>(&'s mut S);
+
+impl<S: Level1Sink> Observer for Tap<'_, S> {
+    fn level1_access(&mut self, rec: TraceRecord) {
+        self.0.access(rec);
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+/// [`simulate_with_warmup`] that also feeds `sink` the reference stream
+/// reaching cache level 1 as the run produces it, and tells it where
+/// the warm-up reset falls. The result is the plain driver's, cycle for
+/// cycle.
+///
+/// Where [`HierarchyConfig::level1_stream_fixed`] holds, the stream
+/// does not depend on level 1's timing or size, so one run yields the
+/// reference stream of a whole L2 size ladder.
+///
+/// # Errors
+///
+/// Returns a [`SimConfigError`] if the configuration is invalid.
+pub fn simulate_with_warmup_tapped<I, S>(
+    config: HierarchyConfig,
+    records: I,
+    warmup: usize,
+    sink: &mut S,
+) -> Result<SimResult, SimConfigError>
+where
+    I: IntoIterator<Item = TraceRecord>,
+    S: Level1Sink,
+{
+    let mut sim = SweepSimW::<2, _>::new(std::slice::from_ref(&config), Tap(sink))?;
+    warm_then_measure(&mut sim, records, warmup, &Metrics::disabled(), "sim");
     Ok(sim.results().swap_remove(0))
 }
 
@@ -784,6 +851,96 @@ mod tests {
         let mut config = base_machine();
         config.levels[0].read_cycles = 0;
         assert!(HierarchySim::new(config).is_err());
+    }
+
+    /// Keeps the level-1 stream seen since the last warm-up reset.
+    #[derive(Default)]
+    struct Recorder {
+        stream: Vec<TraceRecord>,
+        resets: usize,
+    }
+
+    impl Level1Sink for Recorder {
+        fn access(&mut self, rec: TraceRecord) {
+            self.stream.push(rec);
+        }
+
+        fn reset(&mut self) {
+            self.stream.clear();
+            self.resets += 1;
+        }
+    }
+
+    /// The tap changes nothing, and what it hands over is exactly what
+    /// the L2 counted in the measurement window.
+    #[test]
+    fn tapped_run_is_the_plain_run_and_sees_every_l2_access() {
+        let trace = preset_trace(30_000, 5);
+        let mut sink = Recorder::default();
+        let tapped =
+            simulate_with_warmup_tapped(base_machine(), trace.iter().copied(), 7_500, &mut sink)
+                .unwrap();
+        let plain = simulate_with_warmup(base_machine(), trace.iter().copied(), 7_500).unwrap();
+        assert_eq!(tapped, plain);
+        assert_eq!(sink.resets, 1);
+        let l2 = &tapped.levels[1].cache;
+        let reads = sink.stream.iter().filter(|r| !r.kind.is_write()).count() as u64;
+        assert_eq!(reads, l2.read_references());
+        assert_eq!(sink.stream.len() as u64 - reads, l2.write_references());
+    }
+
+    /// With write-back L1s the L2 size and speed change the timing but
+    /// not the reference stream reaching the L2 (DESIGN.md §10).
+    #[test]
+    fn level1_stream_is_the_same_at_every_l2_size_and_speed() {
+        let trace = preset_trace(30_000, 9);
+        let stream = |kib: u64, cycles: u64| {
+            let config = BaseMachine::new()
+                .l2_total(ByteSize::kib(kib))
+                .l2_cycles(cycles)
+                .build()
+                .unwrap();
+            assert!(config.level1_stream_fixed());
+            let mut sink = Recorder::default();
+            let result =
+                simulate_with_warmup_tapped(config, trace.iter().copied(), 0, &mut sink).unwrap();
+            (sink.stream, result.total_cycles)
+        };
+        let (small_fast, t0) = stream(8, 1);
+        let (big_slow, t1) = stream(1024, 8);
+        assert_ne!(t0, t1, "the two machines must differ in timing");
+        assert_eq!(small_fast, big_slow);
+    }
+
+    /// The converse, and why `level1_stream_fixed` excludes it: a
+    /// write-through L1 queues several writes between fetches, and how
+    /// many drain before each fetch depends on the L2's timing.
+    #[test]
+    fn write_through_l1_stream_depends_on_the_l2() {
+        let trace = preset_trace(30_000, 9);
+        let stream = |kib: u64, cycles: u64| {
+            let mut config = BaseMachine::new()
+                .l2_total(ByteSize::kib(kib))
+                .l2_cycles(cycles)
+                .build()
+                .unwrap();
+            let dcache = CacheConfig::builder()
+                .total(ByteSize::kib(2))
+                .block_bytes(16)
+                .write_policy(mlc_cache::WritePolicy::WriteThrough)
+                .alloc_policy(mlc_cache::AllocPolicy::NoWriteAllocate)
+                .build()
+                .unwrap();
+            config.levels[0].cache = LevelCacheConfig::Split {
+                icache: small_cache(2048, 16),
+                dcache,
+            };
+            assert!(!config.level1_stream_fixed());
+            let mut sink = Recorder::default();
+            simulate_with_warmup_tapped(config, trace.iter().copied(), 0, &mut sink).unwrap();
+            sink.stream
+        };
+        assert_ne!(stream(8, 1), stream(1024, 8));
     }
 
     /// The cold 31-cycle miss decomposes exactly as Equation 1 reads it:

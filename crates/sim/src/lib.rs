@@ -15,6 +15,8 @@
 //!   simulation in the workspace runs through it.
 //! * [`simulate`] / [`simulate_with_warmup`] — run a reference trace and
 //!   collect [`SimResult`] (the engine with no observer).
+//! * [`simulate_with_warmup_tapped`] — the same run, handing the
+//!   reference stream of cache level 1 to a [`Level1Sink`].
 //! * [`HierarchySim`] — the same engine, one lane, with an attributing
 //!   observer: the [`CycleLedger`], [`SimHistograms`], sampled events,
 //!   and the `check-invariants` checker.
@@ -65,7 +67,9 @@ pub use clock::Clock;
 pub use config::{
     CpuConfig, HierarchyConfig, LevelCacheConfig, LevelConfig, MemoryConfig, SimConfigError,
 };
-pub use hierarchy::{simulate, simulate_with_warmup, HierarchySim};
+pub use hierarchy::{
+    simulate, simulate_with_warmup, simulate_with_warmup_tapped, HierarchySim, Level1Sink,
+};
 pub use ledger::{CycleLedger, SimHistograms};
 pub use metrics::{EventCounts, LevelMetrics, SimResult};
 pub use observe::{

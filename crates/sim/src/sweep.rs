@@ -57,10 +57,13 @@
 //! ladder) at width 12, with the zero-sized no-op observer.
 //! [`HierarchySim`](crate::HierarchySim) is one lane at width 1 whose
 //! observer keeps the cycle ledger, histograms, sampled events and the
-//! `check-invariants` checker. Unused tail lanes carry lane 0's timing
-//! parameters but no main memory (`memory_read` and `write_downstream`
-//! leave their completions at 0), so their clocks mean nothing and a
-//! [`TimingSweepSim`]'s results drop them.
+//! `check-invariants` checker.
+//! [`simulate_with_warmup_tapped`](crate::simulate_with_warmup_tapped)
+//! is one lane at width 2 whose observer hands every access reaching
+//! cache level 1 to the caller's sink. Unused tail lanes carry lane 0's
+//! timing parameters but no main memory (`memory_read` and
+//! `write_downstream` leave their completions at 0), so their clocks
+//! mean nothing and a [`TimingSweepSim`]'s results drop them.
 //!
 //! # The one approximation
 //!
@@ -276,9 +279,6 @@ pub(crate) struct RecordEnd {
 /// method defaults to doing nothing, so [`NoObserver`] compiles to the
 /// bare walk.
 pub(crate) trait Observer {
-    /// Builds the observer for a hierarchy of `depth` cache levels.
-    fn new(depth: usize) -> Self;
-
     /// A record is about to be walked.
     fn begin(&mut self) {}
 
@@ -304,6 +304,11 @@ pub(crate) trait Observer {
     /// A write buffer accepted an entry and now holds `len`.
     fn buffered(&mut self, _len: usize) {}
 
+    /// Cache level 1 is about to be accessed: a fetch on behalf of level
+    /// 0 (`rec.kind` is the requester's) or a level-0 write-back
+    /// (`Write`), in engine order.
+    fn level1_access(&mut self, _rec: TraceRecord) {}
+
     /// The record is done; `levels` is the hierarchy after it.
     fn end<const W: usize>(&mut self, _end: RecordEnd, _levels: &[SweepLevel<W>]) {}
 
@@ -316,11 +321,7 @@ pub(crate) trait Observer {
 #[derive(Debug, Clone)]
 pub(crate) struct NoObserver;
 
-impl Observer for NoObserver {
-    fn new(_depth: usize) -> Self {
-        NoObserver
-    }
-}
+impl Observer for NoObserver {}
 
 /// The timing engine at width `W` with observer `O`: the hierarchy
 /// evaluated under up to `W` timing variants in a single trace pass.
@@ -335,12 +336,19 @@ pub(crate) struct SweepSimW<const W: usize, O> {
     cpu: CpuState<W>,
     measure_start: [u64; W],
     pub(crate) obs: O,
+    /// Whether lane 0's configuration guarantees that every queued
+    /// level-0 write drains before the next level-1 fetch
+    /// ([`HierarchyConfig::level1_stream_fixed`]); the drain path
+    /// asserts it.
+    #[cfg(feature = "check-invariants")]
+    level1_stream_fixed: bool,
 }
 
 impl<const W: usize, O: Observer> SweepSimW<W, O> {
-    /// Builds a width-`W` engine from one configuration per lane.
-    /// `configs.len()` must already be known to lie in `1..=W`.
-    pub(crate) fn new(configs: &[HierarchyConfig]) -> Result<Self, SimConfigError> {
+    /// Builds a width-`W` engine from one configuration per lane, with
+    /// `obs` watching lane 0. `configs.len()` must already be known to
+    /// lie in `1..=W`.
+    pub(crate) fn new(configs: &[HierarchyConfig], obs: O) -> Result<Self, SimConfigError> {
         debug_assert!(
             !configs.is_empty() && configs.len() <= W,
             "dispatch guarantees 1..={W} configs"
@@ -423,7 +431,9 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
         Ok(SweepSimW {
             lanes,
             clocks,
-            obs: O::new(levels.len()),
+            obs,
+            #[cfg(feature = "check-invariants")]
+            level1_stream_fixed: first.level1_stream_fixed(),
             cpu: CpuState {
                 now: splat(0),
                 cycle_issue: splat(0),
@@ -779,6 +789,9 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
         need_bytes: u64,
         t: [u64; W],
     ) -> [u64; W] {
+        if idx == 1 {
+            self.obs.level1_access(TraceRecord::new(kind, addr));
+        }
         let extra = self.levels[idx - 1].refill_bus.extra_beat_ticks(need_bytes);
         // Hit fast path; a downstream read hit never forwards store data,
         // so the write-through flag is irrelevant here (as in the full
@@ -921,6 +934,15 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
             self.drain_one(j, would_start);
         }
         self.obs.pop_suppress();
+        // Level 0 drains ahead of every level-1 fetch, so the level-1
+        // reference stream is the trace's alone (DESIGN.md §10).
+        #[cfg(feature = "check-invariants")]
+        assert!(
+            j > 0 || !self.level1_stream_fixed || self.levels[0].out_buffer.is_empty(),
+            "a queued level-0 write outlived the level-1 fetch at tick {}: \
+             the level-1 stream would depend on timing",
+            t[0]
+        );
     }
 
     /// Pops and retires the oldest entry of level `j`'s buffer, returning
@@ -959,6 +981,10 @@ impl<const W: usize, O: Observer> SweepSimW<W, O> {
             return out;
         }
 
+        if target == 1 {
+            self.obs
+                .level1_access(TraceRecord::new(AccessKind::Write, addr));
+        }
         // The first data beat overlaps the write's first cycle; extra
         // beats serialise before it, mirroring the read path.
         let arrival = vadd(start, bus.extra_beat_ticks(bytes));
@@ -1158,9 +1184,9 @@ impl TimingSweepSim {
             )));
         }
         let inner = if configs.len() <= 2 {
-            SweepDispatch::W2(SweepSimW::new(configs)?)
+            SweepDispatch::W2(SweepSimW::new(configs, NoObserver)?)
         } else {
-            SweepDispatch::W12(SweepSimW::new(configs)?)
+            SweepDispatch::W12(SweepSimW::new(configs, NoObserver)?)
         };
         Ok(TimingSweepSim { inner })
     }
@@ -1364,7 +1390,7 @@ mod tests {
     /// The base machine: level 0 is split (its busy times live in the
     /// CPU state), level 1 unified.
     fn base_engine() -> SweepSimW<2, NoObserver> {
-        SweepSimW::new(&[base_machine()]).unwrap()
+        SweepSimW::new(&[base_machine()], NoObserver).unwrap()
     }
 
     #[test]
