@@ -13,12 +13,12 @@ use mlc_cache::{ByteSize, CacheConfig, ConfigError};
 use mlc_obs::{JournalHeader, Metrics, Progress};
 use mlc_sim::machine::BaseMachine;
 use mlc_sim::{
-    simulate_timing_sweep, simulate_with_warmup, simulate_with_warmup_observed,
-    simulate_with_warmup_tapped, solo, HierarchyConfig, LevelCacheConfig, SimResult,
+    simulate_timing_sweep, simulate_with_warmup_observed, simulate_with_warmup_tapped,
+    HierarchyConfig, LevelCacheConfig, SimResult,
 };
 use mlc_trace::TraceRecord;
 
-use crate::par::{par_map, try_par_map, PointFailure};
+use crate::par::{try_par_map, PointFailure};
 use crate::stack::SoloMissSweep;
 use crate::timing::SweepEngine;
 
@@ -209,16 +209,16 @@ impl<'t> Explorer<'t> {
     /// Feeds per-phase timings and event counts from every sweep into
     /// `metrics`. Grids record one `grid.size.<size>` phase per swept
     /// L2 size, and miss-ratio curves one `curve.hierarchy` phase for
-    /// their one tapped run (or one `curve.size.<size>` phase per size
-    /// where they run per size), plus the per-pass `sweep.*` / `sim.*` /
+    /// their one tapped run, plus the per-pass `sweep.*` / `sim.*` /
     /// `solo.*` phases of the underlying drivers.
     pub fn with_metrics(mut self, metrics: &'t Metrics) -> Self {
         self.metrics = Some(metrics);
         self
     }
 
-    /// Ticks `progress` once per completed grid point (or per size, for
-    /// miss-ratio curves) from inside the parallel sweep loops.
+    /// Ticks `progress` once per completed grid point from inside the
+    /// parallel sweep loops (once per size, at the end, for miss-ratio
+    /// curves).
     pub fn with_progress(mut self, progress: &'t Progress) -> Self {
         self.progress = Some(progress);
         self
@@ -251,17 +251,26 @@ impl<'t> Explorer<'t> {
     ///
     /// With write-back caches the L1 filters the trace the same way
     /// whatever the L2 size — the paper's §3 independence result — so
-    /// where the machine guarantees it
-    /// ([`HierarchyConfig::level1_stream_fixed`]) and the L2 admits a
-    /// stack pass at every size ([`SoloMissSweep::supports`],
-    /// [`SoloMissSweep::admits_size`]), the curve takes **one**
-    /// hierarchy run. That run feeds its L2 reference stream to a
+    /// the curve takes **one** hierarchy run, at the largest size of the
+    /// ladder. That run feeds its L2 reference stream to a
     /// [`SoloMissSweep`], which counts the L2's read misses at every
     /// size (local = misses / L2 read references, global = misses / the
     /// run's CPU reads). Meanwhile a second thread makes the serial
-    /// stack pass over the CPU trace for the solo column. Any other
-    /// machine gets one hierarchy run and one solo simulation per size.
-    /// Both paths give bit-identical values.
+    /// stack pass over the CPU trace for the solo column. The values are
+    /// bit-identical to one hierarchy run and one solo simulation per
+    /// size.
+    ///
+    /// Progress ticks once per size, all of them when the run is done:
+    /// no size finishes before the others.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` and `sizes` describe a machine whose L2 stream
+    /// could depend on the L2 size
+    /// ([`HierarchyConfig::level1_stream_fixed`]) or an L2 the stack
+    /// pass cannot price ([`SoloMissSweep::supports`],
+    /// [`SoloMissSweep::admits_size`]). Every machine a [`BaseMachine`]
+    /// builds passes; DESIGN §10 gives the argument.
     pub fn miss_ratio_curve(&self, base: &BaseMachine, sizes: &[ByteSize]) -> Vec<MissRatioPoint> {
         // Any size of the ladder gives the same L2 stream; the largest
         // misses least, so its run has the least memory traffic to price.
@@ -270,26 +279,15 @@ impl<'t> Explorer<'t> {
         };
         let config = l2_machine(base, largest);
         let l2 = l2_cache(&config);
-        let block_bytes = l2.geometry().block_bytes();
-        let ways = l2.geometry().ways();
-        let one_pass = config.level1_stream_fixed()
-            && SoloMissSweep::supports(&l2)
-            && sizes
-                .iter()
-                .all(|&s| SoloMissSweep::admits_size(block_bytes, ways, s));
-        if one_pass {
-            self.curve_one_pass(config, sizes)
-        } else {
-            self.curve_per_size(base, sizes)
-        }
-    }
-
-    /// [`Explorer::miss_ratio_curve`] from one hierarchy run of `config`
-    /// (one size of the ladder) tapped at the L2, with the solo column's
-    /// stack pass on a second thread.
-    fn curve_one_pass(&self, config: HierarchyConfig, sizes: &[ByteSize]) -> Vec<MissRatioPoint> {
-        let geometry = l2_cache(&config).geometry();
-        let (block_bytes, ways) = (geometry.block_bytes(), geometry.ways());
+        let (block_bytes, ways) = (l2.geometry().block_bytes(), l2.geometry().ways());
+        assert!(
+            config.level1_stream_fixed()
+                && SoloMissSweep::supports(&l2)
+                && sizes
+                    .iter()
+                    .all(|&s| SoloMissSweep::admits_size(block_bytes, ways, s)),
+            "one tapped run cannot price this curve (see DESIGN §10)"
+        );
         let metrics = self.metrics();
         let (result, l2, solo) = std::thread::scope(|scope| {
             let solo = scope.spawn(|| {
@@ -333,30 +331,6 @@ impl<'t> Explorer<'t> {
                 }
             })
             .collect()
-    }
-
-    /// [`Explorer::miss_ratio_curve`] from one hierarchy run and one solo
-    /// simulation per size, in parallel: the path for machines the
-    /// one-pass test rejects.
-    fn curve_per_size(&self, base: &BaseMachine, sizes: &[ByteSize]) -> Vec<MissRatioPoint> {
-        let metrics = self.metrics();
-        par_map(sizes.to_vec(), |size| {
-            let config = l2_machine(base, size);
-            let l2 = LevelCacheConfig::Unified(l2_cache(&config));
-            let timer = metrics.time_phase(&format!("curve.size.{size}"));
-            let result = simulate_with_warmup(config, self.trace.iter().copied(), self.warmup)
-                .expect("validated configuration");
-            let solo = solo::solo_read_miss_ratio(l2, self.trace.iter().copied(), self.warmup)
-                .unwrap_or(f64::NAN);
-            timer.stop();
-            self.tick(1);
-            MissRatioPoint {
-                size,
-                local: result.local_read_miss_ratio(1).unwrap_or(f64::NAN),
-                global: result.global_read_miss_ratio(1).unwrap_or(f64::NAN),
-                solo,
-            }
-        })
     }
 
     /// Figure 4/5's sweep: total execution cycles over an
@@ -855,29 +829,6 @@ mod tests {
                 (w[0].size, w[0].global, w[1].size, w[1].global)
             );
         }
-    }
-
-    /// No machine `BaseMachine` builds fails the one-pass test — every
-    /// buildable L2 is a plain LRU cache with a power-of-two set count
-    /// — so the per-size fallback is checked directly: it must give the
-    /// one-pass curve bit for bit.
-    #[test]
-    fn per_size_fallback_matches_the_one_pass_curve() {
-        let t = trace(40_000);
-        let explorer = Explorer::new(&t, 10_000);
-        let sizes = size_ladder(ByteSize::kib(8), ByteSize::kib(64));
-        let mut base = BaseMachine::new();
-        base.l2_ways(2).l2_cycles(5);
-        let bits = |curve: Vec<MissRatioPoint>| -> Vec<[u64; 3]> {
-            curve
-                .iter()
-                .map(|p| [p.local.to_bits(), p.global.to_bits(), p.solo.to_bits()])
-                .collect()
-        };
-        assert_eq!(
-            bits(explorer.curve_per_size(&base, &sizes)),
-            bits(explorer.miss_ratio_curve(&base, &sizes))
-        );
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl SoloMissSweep {
     /// Whether `size` yields a valid (positive power-of-two) set count at
     /// this block size and associativity — the geometric precondition of
     /// [`SoloMissSweep::new`], as a non-panicking test for callers
-    /// deciding between the one-pass and per-size paths.
+    /// that check a whole ladder before building the sweep.
     pub fn admits_size(block_bytes: u64, ways: u32, size: ByteSize) -> bool {
         let span = block_bytes.saturating_mul(u64::from(ways));
         span > 0
