@@ -2,8 +2,8 @@
 //! plus per-stage pipeline throughput.
 //!
 //! Times `Explorer::l2_grid_with` under both engines on the acceptance
-//! grid (8 L2 sizes × 24 cycle times — two 12-lane passes per size),
-//! verifies the engines agree cycle-exact, and emits a
+//! grid (8 L2 sizes × 24 cycle times — three passes per size, of 10,
+//! 10 and 4 lanes), verifies the engines agree cycle-exact, and emits a
 //! machine-readable `BENCH_sweep.json` (schema `mlc-bench/1`, rendered
 //! by `mlc-obs`) at the workspace root so the repo's perf trajectory is
 //! tracked run over run. A second report, `BENCH_ingest.json`, breaks
@@ -107,8 +107,8 @@ fn main() {
     let records = env_usize("MLC_SWEEP_RECORDS", 200_000);
     let samples = env_usize("MLC_BENCH_SAMPLES", 3).max(1);
     let warmup = records / 4;
-    // 8 sizes × 24 cycle times: two full 12-lane passes per size, so
-    // every lane of both passes carries a grid point.
+    // 8 sizes × 24 cycle times: two full 10-lane passes and a 4-lane
+    // tail per size.
     let sizes = size_ladder(ByteSize::kib(16), ByteSize::mib(2));
     let cycles: Vec<u64> = (1..=env_usize("MLC_SWEEP_CYCLES", 24) as u64).collect();
     let points = sizes.len() * cycles.len();

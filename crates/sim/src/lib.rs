@@ -21,7 +21,8 @@
 //!   observer: the [`CycleLedger`], [`SimHistograms`], sampled events,
 //!   and the `check-invariants` checker.
 //! * [`TimingSweepSim`] / [`simulate_timing_sweep`] — up to
-//!   [`MAX_LANES`] timing variants of one cache organisation per pass.
+//!   [`MAX_LANES`] (10) timing variants of one cache organisation per
+//!   pass, pricing an L1 hit whose cost every lane shares only once.
 //! * [`solo`] — fast functional runs for the paper's *solo* miss ratios.
 //! * [`ledger`] — exhaustive cycle attribution: every cycle of
 //!   [`SimResult::total_cycles`] lands in exactly one Equation 1 bucket

@@ -247,8 +247,18 @@ mod tests {
         let results = simulate_timing_sweep(&configs, &trace, 5_000, &metrics).unwrap();
         assert_eq!(results.len(), 26);
         let snap = metrics.snapshot();
-        // 26 configs over 12 lanes = 3 passes.
-        assert_eq!(snap.counters, vec![("sweep.lane_passes".into(), 3)]);
+        let counter_names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(counter_names, ["sweep.lane_passes", "sweep.scalar_hits"]);
+        // 26 configs over 10 lanes = 3 passes.
+        assert_eq!(snap.counters[0].1, 3);
+        // Each pass adds its count once, and no pass counts more
+        // records than it was fed.
+        let scalar_hits = snap.counters[1].1;
+        let records = 3 * trace.len() as u64;
+        assert!(
+            0 < scalar_hits && scalar_hits <= records,
+            "{scalar_hits} scalar hits of {records} records"
+        );
         let phase_names: Vec<&str> = snap.phases.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(phase_names, ["sweep.measure", "sweep.warmup"]);
         assert!(snap.phases.iter().all(|(_, s)| s.calls == 3));

@@ -8,6 +8,9 @@
 //! the simulator's original, separately written timing walk, so they
 //! check that the shared engine reproduces it; any change to the cycle
 //! arithmetic, the attribution hooks or the event sampling shows up here.
+//! Each case also runs the plain driver, whose no-op observer lets L1
+//! hits take the engine's scalar path, and requires its result to equal
+//! the attributing run's (which always takes the full path).
 //!
 //! On a mismatch the failure message prints the whole table as computed,
 //! ready to paste over `GOLDEN` once a change is known to be intended.
@@ -15,7 +18,10 @@
 use mlc_cache::{AllocPolicy, ByteSize, CacheConfig, Prefetch, Replacement, WritePolicy};
 use mlc_obs::EventTracer;
 use mlc_sim::machine::{base_machine, single_level, BaseMachine};
-use mlc_sim::{HierarchyConfig, HierarchySim, LevelCacheConfig, LevelConfig, MemoryConfig};
+use mlc_sim::{
+    simulate_with_warmup, HierarchyConfig, HierarchySim, LevelCacheConfig, LevelConfig,
+    MemoryConfig,
+};
 use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
 use mlc_trace::TraceRecord;
 
@@ -153,11 +159,13 @@ fn fnv(text: &str) -> u64 {
 /// Runs one case and returns its four digests: result, ledger rows,
 /// histograms, sampled events.
 fn digests(config: HierarchyConfig, trace: &[TraceRecord]) -> [u64; 4] {
+    let plain = simulate_with_warmup(config.clone(), trace.iter().copied(), RESET_AT).unwrap();
     let mut sim = HierarchySim::new(config).unwrap();
     sim.attach_tracer(EventTracer::new(SAMPLE_EVERY));
     sim.run(trace[..RESET_AT].iter().copied());
     sim.reset_measurement();
     sim.run(trace[RESET_AT..].iter().copied());
+    assert_eq!(sim.result(), plain, "the plain driver");
     sim.flush_all();
 
     let result = sim.result();
