@@ -383,9 +383,24 @@ if ! cmp -s "$serve_dir/sweep_direct.csv" "$serve_dir/cached.csv"; then
     echo "ci.sh: cached daemon grid differs from mlc-sweep" >&2
     exit 1
 fi
+# The key names records, not bytes: the same records stored as .mlcz
+# must hit the same memory-tier entry.
+./target/release/mlc-gen --preset mips1 --records 50000 --seed 7 \
+    --out "$serve_dir/trace.mlcz" > /dev/null 2>&1
+./target/release/mlc-client --socket "$serve_sock" submit \
+    --trace "$(pwd)/$serve_dir/trace.mlcz" $serve_args \
+    --out "$serve_dir/cached_mlcz.csv" > "$serve_dir/submit3.txt"
+if ! grep -q '^source=memory$' "$serve_dir/submit3.txt" \
+    || ! cmp -s "$serve_dir/sweep_direct.csv" "$serve_dir/cached_mlcz.csv"; then
+    echo "ci.sh: an .mlcz copy of the trace was not served from the memory tier" >&2
+    cat "$serve_dir/submit3.txt" >&2
+    exit 1
+fi
 ./target/release/mlc-client --socket "$serve_sock" stats --format json \
     > "$serve_dir/stats.json"
-if ! jq -e '(.counters.jobs_recovered == 1) and (.counters.jobs_computed == 1)' \
+# One trace decode into records, the recovered job's: hits decode none.
+if ! jq -e '(.counters.jobs_recovered == 1) and (.counters.jobs_computed == 1)
+        and (.counters.trace_decodes == 1)' \
     "$serve_dir/stats.json" > /dev/null; then
     echo "ci.sh: daemon stats disagree with the recovery story" >&2
     cat "$serve_dir/stats.json" >&2

@@ -7,7 +7,7 @@
 //! bytes, so the same trace stored as `.din`, fixed-width binary, or
 //! delta-compressed binary digests identically.
 
-use mlc_trace::TraceRecord;
+use mlc_trace::{RecordSink, TraceRecord};
 
 /// Streaming 64-bit FNV-1a hasher.
 ///
@@ -56,6 +56,62 @@ impl Default for Fnv64 {
     }
 }
 
+/// A streaming record digest: the FNV-1a hash [`digest_records`]
+/// computes, taken one record at a time, plus the number of records
+/// absorbed. It is a [`RecordSink`], so a trace decoder can digest a
+/// trace straight from its bytes without storing a record.
+///
+/// # Examples
+///
+/// ```
+/// use mlc_obs::{digest_records, RecordDigest};
+/// use mlc_trace::{RecordSink, TraceRecord};
+///
+/// let recs = [TraceRecord::ifetch(0x4), TraceRecord::read(0x100)];
+/// let mut d = RecordDigest::new();
+/// recs.iter().for_each(|&r| d.push(r));
+/// assert_eq!((d.finish(), d.records()), (digest_records(&recs), 2));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct RecordDigest {
+    hash: Fnv64,
+    records: usize,
+}
+
+impl RecordDigest {
+    /// An empty digest (the digest of no records).
+    pub fn new() -> Self {
+        RecordDigest::default()
+    }
+
+    /// Records absorbed so far.
+    pub fn records(&self) -> usize {
+        self.records
+    }
+
+    /// The digest of every record absorbed so far.
+    pub fn finish(&self) -> u64 {
+        self.hash.finish()
+    }
+
+    /// [`RecordDigest::finish`] rendered as the manifest's digest
+    /// string, exactly as [`digest_records_hex`] renders it.
+    pub fn hex(&self) -> String {
+        format!("fnv1a64:{:016x}", self.finish())
+    }
+}
+
+impl RecordSink for RecordDigest {
+    /// Absorbs one record: its din kind label byte, then its address in
+    /// little-endian order. The one per-record digest step.
+    #[inline]
+    fn push(&mut self, record: TraceRecord) {
+        self.hash.write(&[record.kind.din_label()]);
+        self.hash.write(&record.addr.get().to_le_bytes());
+        self.records += 1;
+    }
+}
+
 /// Digests a record sequence: per record, the din kind label byte
 /// followed by the address in little-endian order.
 ///
@@ -71,18 +127,21 @@ impl Default for Fnv64 {
 /// assert_eq!(digest_records(&a), digest_records(&a));
 /// ```
 pub fn digest_records(records: &[TraceRecord]) -> u64 {
-    let mut h = Fnv64::new();
-    for r in records {
-        h.write(&[r.kind.din_label()]);
-        h.write(&r.addr.get().to_le_bytes());
-    }
-    h.finish()
+    fold(records).finish()
 }
 
 /// [`digest_records`] rendered as the manifest's digest string, e.g.
 /// `"fnv1a64:a1b2c3d4e5f60718"`.
 pub fn digest_records_hex(records: &[TraceRecord]) -> String {
-    format!("fnv1a64:{:016x}", digest_records(records))
+    fold(records).hex()
+}
+
+fn fold(records: &[TraceRecord]) -> RecordDigest {
+    let mut d = RecordDigest::new();
+    for &r in records {
+        d.push(r);
+    }
+    d
 }
 
 #[cfg(test)]

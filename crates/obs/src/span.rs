@@ -39,13 +39,18 @@ pub enum Stage {
     Parse,
     /// Admission control: request validation and the job-slot check.
     Admission,
-    /// Content addressing: trace load, digest, and key derivation.
+    /// Content addressing: one read of the trace file, its bytes
+    /// decoded straight into the record digest (no record is stored),
+    /// and key derivation.
     Key,
     /// Memory-tier cache probe.
     MemLookup,
     /// Disk-tier cache probe (only on a memory miss).
     DiskLookup,
-    /// The sweep simulation itself, all rows.
+    /// A job, from the miss decision to its last row: decoding the
+    /// trace into records, spooling the job (spec, journal, worker
+    /// start) and simulating every row. A recovered job's span starts
+    /// when recovery picks it up.
     Simulate,
     /// Durable commit: the journal's rename into the cache tier.
     JournalCommit,

@@ -2,13 +2,15 @@
 //! compute workers, and crash recovery.
 //!
 //! A submission resolves to a content-addressed key
-//! ([`crate::key::job_key`]) and is answered by the first of:
+//! ([`crate::key::job_key`]) in one streaming pass over its trace: the
+//! file's bytes are decoded straight into the record digest, and no
+//! record is stored. It is then answered by the first of:
 //!
-//! 1. the two-tier result cache (memory, then disk — hit at any level
-//!    returns immediately);
-//! 2. an identical **in-flight** job (single-flight: the submission
+//! 1. an identical **in-flight** job (single-flight: the submission
 //!    subscribes to the running job's events instead of starting a
 //!    second simulation);
+//! 2. the two-tier result cache (memory, then disk — hit at any level
+//!    returns immediately, having decoded no record);
 //! 3. a fresh worker, which journals every completed grid row
 //!    crash-consistently and commits the finished journal into the
 //!    cache with one atomic rename.
@@ -51,8 +53,8 @@ use std::time::{Duration, Instant};
 use mlc_core::{warmup_records, DesignGrid, Explorer, GridRow, GridSpec};
 use mlc_obs::json::JsonValue;
 use mlc_obs::span::{mint_trace_id, valid_trace_id, Stage};
-use mlc_obs::{digest_records_hex, JournalWriter, Metrics, MetricsSnapshot};
-use mlc_trace::{ingest_warning, FaultPolicy, TraceError, TraceRecord};
+use mlc_obs::{JournalWriter, Metrics, MetricsSnapshot, RecordDigest};
+use mlc_trace::{ingest_warning, FaultPolicy, IngestReport, TraceError, TraceRecord};
 
 use crate::cache::{ResultCache, Tier};
 use crate::chaos::FaultInjector;
@@ -451,6 +453,9 @@ pub struct Stats {
     pub disk_evicted_bytes: u64,
     /// Lookups neither tier answered.
     pub misses: u64,
+    /// Traces decoded into records: one per job started cold or
+    /// recovered. Hits and coalesced attaches decode nothing.
+    pub trace_decodes: u64,
     /// Milliseconds this server process has been up.
     pub uptime_ms: u64,
 }
@@ -625,6 +630,7 @@ impl Server {
             disk_evictions: snap.counter("serve.disk_evictions"),
             disk_evicted_bytes: snap.counter("serve.disk_evicted_bytes"),
             misses: snap.counter("serve.misses"),
+            trace_decodes: snap.counter("serve.trace_decodes"),
             uptime_ms: self.uptime_ms(),
         }
     }
@@ -682,6 +688,7 @@ impl Server {
                     ("events_dropped".into(), stats.events_dropped.into()),
                     ("conns_rejected".into(), stats.conns_rejected.into()),
                     ("accept_errors".into(), stats.accept_errors.into()),
+                    ("trace_decodes".into(), stats.trace_decodes.into()),
                 ]),
             ),
             (
@@ -752,17 +759,20 @@ impl Server {
         }
     }
 
+    /// The in-flight job computing `key`, if any.
+    fn inflight(&self, key: &str) -> Option<Arc<Job>> {
+        self.jobs
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .get(key)
+            .cloned()
+    }
+
     /// Where `key` currently stands. Deliberately *not* instrumented:
     /// status polls are control-plane traffic and would drown the tier
     /// counters a client is usually polling to watch.
     pub fn status(&self, key: &str) -> JobStatus {
-        let job = self
-            .jobs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(key)
-            .cloned();
-        if let Some(job) = job {
+        if let Some(job) = self.inflight(key) {
             let st = job.lock();
             if st.done.is_none() {
                 return JobStatus::Running {
@@ -817,17 +827,21 @@ impl Server {
         self.telemetry
             .record_span(Stage::Admission, &trace_id, admission_start);
 
-        // Key resolution: read the trace, digest it, derive the
-        // content-addressed key. The trace id is identity metadata
-        // only — [`crate::key::job_key`] never hashes it, so retries
-        // and concurrent submissions with different ids converge on
-        // one job.
+        // Key resolution is one pass: read the trace file once and
+        // stream its bytes through the decoder into the record digest,
+        // counting records for the warm-up. No record is stored, so a
+        // hit answers having built no record vector; a miss decodes
+        // these same bytes further down, never the file again, so the
+        // key always names the records that get simulated. The trace id
+        // is identity metadata only — [`crate::key::job_key`] never
+        // hashes it, so retries and concurrent submissions with
+        // different ids converge on one job.
         let key_start = Instant::now();
-        let trace = self
-            .load_trace(&req.trace, &trace_id)
-            .map_err(|e| SubmitError::Invalid(format!("trace {}: {e}", req.trace.display())))?;
-        let warmup = warmup_records(trace.len(), req.warmup_frac);
-        let header = sweep.header(digest_records_hex(&trace), warmup, Some(trace_id.clone()));
+        let invalid =
+            |e: TraceError| SubmitError::Invalid(format!("trace {}: {e}", req.trace.display()));
+        let (bytes, digest) = self.digest_trace(&req.trace, &trace_id).map_err(invalid)?;
+        let warmup = warmup_records(digest.records(), req.warmup_frac);
+        let header = sweep.header(digest.hex(), warmup, Some(trace_id.clone()));
         let key = job_key(&header);
         let stem = key_stem(&key)
             .expect("server-derived keys are well-formed")
@@ -835,30 +849,11 @@ impl Server {
         let rows_total = header.sizes.len() as u64;
         self.telemetry.record_span(Stage::Key, &trace_id, key_start);
 
-        // The jobs lock covers lookup-or-create end to end, so N
-        // identical racing submissions resolve to one job (or to the
-        // cache entry the winner just committed).
-        let mut jobs = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(job) = jobs.get(&key).cloned() {
-            drop(jobs);
-            self.metrics.add("serve.jobs_coalesced", 1);
-            // A follower that brought no context of its own follows
-            // the job under the id that started it, so the whole
-            // coalesced flight shares one trace.
-            let trace_id = if minted {
-                job.trace_id.clone()
-            } else {
-                trace_id
-            };
-            let events = job.subscribe();
-            return Ok(SubmitOutcome::Running(Submission {
-                key,
-                rows_total,
-                rows_resumed: job.rows_resumed as u64,
-                coalesced: true,
-                trace_id,
-                events,
-            }));
+        // An identical job already in flight takes this submission as a
+        // follower; otherwise the tiers answer. The tier probes do not
+        // hold the jobs lock.
+        if let Some(job) = self.inflight(&key) {
+            return Ok(self.attach(job, key, rows_total, trace_id, minted));
         }
         if let Some((grid, tier)) = self.lookup(&key, &trace_id) {
             return Ok(SubmitOutcome::Cached {
@@ -869,6 +864,33 @@ impl Server {
             });
         }
 
+        // A miss everywhere: the job's simulate span starts here, so it
+        // covers the decode and the spooling below as well as the rows.
+        let simulate_start = Instant::now();
+        // Decode outside the jobs lock, which every submission takes,
+        // and free the file's bytes before the spool writes, so the
+        // bytes and the records are never held across them together.
+        let trace = self.decode_records(&req.trace, &bytes).map_err(invalid)?;
+        drop(bytes);
+
+        // The jobs lock covers the re-check and job creation, so N
+        // identical racing submissions resolve to one job, or to the
+        // cache entry a finished worker left: a worker caches its grid
+        // before it leaves the job table. The re-check is not counted;
+        // this submission's lookup already was.
+        let mut jobs = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(job) = jobs.get(&key).cloned() {
+            drop(jobs);
+            return Ok(self.attach(job, key, rows_total, trace_id, minted));
+        }
+        if let Some((grid, tier)) = self.cache.lookup(&key) {
+            return Ok(SubmitOutcome::Cached {
+                key,
+                grid,
+                tier,
+                trace_id,
+            });
+        }
         // Admission control: a full job table sheds (cache hits and
         // coalesced attaches above cost nothing, so they always pass).
         if jobs.len() >= self.max_jobs {
@@ -880,8 +902,8 @@ impl Server {
             )));
         }
 
-        // Miss everywhere: spool and start a worker. Spec first, so a
-        // journal on disk always has its trace-path sidecar.
+        // Spool and start a worker. Spec first, so a journal on disk
+        // always has its trace-path sidecar.
         let disk = self.cache.disk();
         disk.write_job_spec(
             &stem,
@@ -925,9 +947,39 @@ impl Server {
         };
         let server = Arc::clone(self);
         std::thread::spawn(move || {
-            server.run_job(job, trace, sweep, warmup, writer, completed);
+            server.run_job(job, trace, sweep, warmup, writer, completed, simulate_start);
         });
         Ok(SubmitOutcome::Running(submission))
+    }
+
+    /// Attaches a submission to an identical in-flight job as a
+    /// follower (single-flight).
+    fn attach(
+        &self,
+        job: Arc<Job>,
+        key: String,
+        rows_total: u64,
+        trace_id: String,
+        minted: bool,
+    ) -> SubmitOutcome {
+        self.metrics.add("serve.jobs_coalesced", 1);
+        // A follower that brought no context of its own follows the job
+        // under the id that started it, so the whole coalesced flight
+        // shares one trace.
+        let trace_id = if minted {
+            job.trace_id.clone()
+        } else {
+            trace_id
+        };
+        let events = job.subscribe();
+        SubmitOutcome::Running(Submission {
+            key,
+            rows_total,
+            rows_resumed: job.rows_resumed as u64,
+            coalesced: true,
+            trace_id,
+            events,
+        })
     }
 
     /// Scans the spool for in-flight journals a previous process left
@@ -963,13 +1015,38 @@ impl Server {
         report
     }
 
-    /// Reads a submission's trace under the configured fault policy.
-    /// A degraded read prints the ingest warning stamped with the
-    /// submission's `trace_id`, and writes a `<sidecar>.ctx` companion
-    /// naming that id next to the quarantine sidecar (the sidecar
-    /// itself stays pure rejected records, its format untouched).
-    fn load_trace(&self, path: &Path, trace_id: &str) -> Result<Vec<TraceRecord>, TraceError> {
-        let (records, ingest, sidecar) = mlc_trace::read_trace_file(path, self.trace_faults)?;
+    /// The key stage's pass over a submission's trace: reads the file
+    /// once and decodes its bytes straight into the record digest,
+    /// storing no record. Returns the bytes, which a miss decodes again
+    /// into records ([`Server::decode_records`]), and the digest.
+    fn digest_trace(
+        &self,
+        path: &Path,
+        trace_id: &str,
+    ) -> Result<(Vec<u8>, RecordDigest), TraceError> {
+        let bytes = std::fs::read(path)?;
+        let mut digest = RecordDigest::new();
+        let ingest = mlc_trace::decode_trace_bytes(path, &bytes, self.trace_faults, &mut digest)?;
+        self.report_ingest(ingest, trace_id);
+        Ok((bytes, digest))
+    }
+
+    /// Materialises the records of a trace the key stage already
+    /// digested, from the same bytes. The degraded-read report was
+    /// made by that pass, from which this one cannot differ.
+    fn decode_records(&self, path: &Path, bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
+        let mut records = Vec::new();
+        mlc_trace::decode_trace_bytes(path, bytes, self.trace_faults, &mut records)?;
+        self.metrics.add("serve.trace_decodes", 1);
+        Ok(records)
+    }
+
+    /// Reports a degraded trace read: prints the ingest warning stamped
+    /// with the submission's `trace_id`, and writes a `<sidecar>.ctx`
+    /// companion naming that id next to the quarantine sidecar (the
+    /// sidecar itself stays pure rejected records, its format
+    /// untouched).
+    fn report_ingest(&self, (ingest, sidecar): (IngestReport, Option<PathBuf>), trace_id: &str) {
         if let Some(warning) = ingest_warning(&ingest, sidecar.as_deref(), Some(trace_id)) {
             eprintln!("{warning}");
         }
@@ -985,10 +1062,12 @@ impl Server {
             ctx.push(".ctx");
             let _ = std::fs::write(ctx, line);
         }
-        Ok(records)
     }
 
     fn recover_one(self: &Arc<Self>, stem: &str, spec: &JobSpec) -> Result<String, String> {
+        // A recovered job's simulate span starts when recovery picks it
+        // up, and covers the trace's decode.
+        let simulate_start = Instant::now();
         let disk = self.cache.disk();
         let path = disk.job_journal_path(stem);
         let (writer, journal) = match JournalWriter::resume(&path) {
@@ -1014,10 +1093,14 @@ impl Server {
         // started it (journals predating tracing get a fresh id), so
         // the work stays attributable across the crash.
         let trace_id = header.trace_id.unwrap_or_else(mint_trace_id);
-        let trace = self
-            .load_trace(&spec.trace, &trace_id)
+        // One pass decodes the records and re-digests them.
+        let mut sink = (Vec::new(), RecordDigest::new());
+        let ingest = mlc_trace::read_trace_file_into(&spec.trace, self.trace_faults, &mut sink)
             .map_err(|e| format!("trace reload failed (spool kept): {e}"))?;
-        if digest_records_hex(&trace) != header.trace_digest {
+        self.report_ingest(ingest, &trace_id);
+        self.metrics.add("serve.trace_decodes", 1);
+        let (trace, digest) = sink;
+        if digest.hex() != header.trace_digest {
             disk.discard_job(stem);
             return Err("trace content changed since the journal was written; discarded".into());
         }
@@ -1038,14 +1121,25 @@ impl Server {
         let server = Arc::clone(self);
         let key = spec.key.clone();
         std::thread::spawn(move || {
-            server.run_job(job, trace, sweep, header.warmup as usize, writer, completed);
+            server.run_job(
+                job,
+                trace,
+                sweep,
+                header.warmup as usize,
+                writer,
+                completed,
+                simulate_start,
+            );
         });
         Ok(key)
     }
 
     /// The worker body: simulates the missing rows (journalling each),
     /// commits the completed journal into the cache, and broadcasts the
-    /// terminal event.
+    /// terminal event. The job's simulate span runs from
+    /// `simulate_start`, the miss decision (or the recovery), to the
+    /// last row.
+    #[allow(clippy::too_many_arguments)]
     fn run_job(
         self: Arc<Self>,
         job: Arc<Job>,
@@ -1054,6 +1148,7 @@ impl Server {
         warmup: usize,
         mut writer: JournalWriter,
         completed: Vec<GridRow>,
+        simulate_start: Instant,
     ) {
         let key = job.key.clone();
         let stem = key_stem(&key)
@@ -1061,7 +1156,6 @@ impl Server {
             .to_owned();
         let explorer = Explorer::new(&trace, warmup);
 
-        let t = Instant::now();
         let run = sweep.run(&explorer, completed, |row| {
             // Sleeping *inside* the journal lock serializes the delay:
             // rows land row_delay apart even though they compute in
@@ -1081,7 +1175,7 @@ impl Server {
             Ok(())
         });
         self.telemetry
-            .record_span(Stage::Simulate, &job.trace_id, t);
+            .record_span(Stage::Simulate, &job.trace_id, simulate_start);
         // Close the journal before commit renames the file.
         drop(writer);
 

@@ -5,6 +5,7 @@ use std::path::{Path, PathBuf};
 
 use mlc_serve::SubmitRequest;
 use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
+use mlc_trace::TraceRecord;
 
 /// A fresh, empty scratch directory. The prefix names the test binary,
 /// so binaries running in parallel never share a directory.
@@ -15,14 +16,18 @@ pub fn temp_root(tag: &str) -> PathBuf {
     dir
 }
 
+/// `n` synthetic Mips2 records, the same for every call.
+pub fn trace_records(n: usize) -> Vec<TraceRecord> {
+    MultiProgramGenerator::new(Preset::Mips2.config(7))
+        .expect("valid preset")
+        .generate_records(n)
+}
+
 /// Writes `n` synthetic Mips2 records to `dir/trace.din`.
 pub fn write_trace(dir: &Path, n: usize) -> PathBuf {
-    let records = MultiProgramGenerator::new(Preset::Mips2.config(7))
-        .expect("valid preset")
-        .generate_records(n);
     let path = dir.join("trace.din");
     let file = std::fs::File::create(&path).unwrap();
-    mlc_trace::din::write_din(file, records.iter().copied()).unwrap();
+    mlc_trace::din::write_din(file, trace_records(n).iter().copied()).unwrap();
     path
 }
 

@@ -11,12 +11,12 @@ use mlc_core::DesignGrid;
 use mlc_obs::{digest_records_hex, JournalHeader, JournalRow, JournalWriter};
 use mlc_serve::{
     grid_to_json, job_key, key_stem, DiskStore, JobEvent, JobSpec, JobStatus, Server, ServerConfig,
-    SubmitError, SubmitOutcome, Tier,
+    SubmitError, SubmitOutcome, SubmitRequest, Tier,
 };
-use mlc_trace::FaultPolicy;
+use mlc_trace::{FaultPolicy, TraceRecord};
 
 mod common;
-use common::{request, temp_root, write_trace, SIZES};
+use common::{request, temp_root, trace_records, write_trace, SIZES};
 
 fn server(root: &Path, row_delay: Duration) -> Arc<Server> {
     let mut config = ServerConfig::new(root);
@@ -327,6 +327,142 @@ fn skip_policy_quarantines_malformed_lines_and_stamps_the_submission() {
 
     let strict = server(&root.join("strict_store"), Duration::ZERO);
     assert!(matches!(strict.submit(&req), Err(SubmitError::Invalid(_))));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A hit reads its trace under the same fault policy as a miss, so a
+/// `Skip` hit still leaves the quarantine sidecar and a `.ctx`
+/// companion naming the submission that hit.
+#[test]
+fn skip_policy_hit_still_quarantines_and_stamps_the_hit() {
+    let root = temp_root("quarantine_hit");
+    let trace = write_trace(&root, 4_000);
+    let mut text = std::fs::read_to_string(&trace).unwrap();
+    text.push_str("not a record\n3 zz\n");
+    std::fs::write(&trace, text).unwrap();
+    let mut config = ServerConfig::new(root.join("store"));
+    config.trace_faults = FaultPolicy::Skip { budget: 4 };
+    let skipping = Server::new(config).unwrap();
+    let mut req = request(&trace, SIZES);
+    req.trace_id = "trc-e2e-miss".into();
+    computed(&skipping, &req);
+
+    let sidecar = mlc_trace::quarantine_path(&trace);
+    let mut ctx = sidecar.clone().into_os_string();
+    ctx.push(".ctx");
+    std::fs::remove_file(&sidecar).unwrap();
+    std::fs::remove_file(&ctx).unwrap();
+    req.trace_id = "trc-e2e-hit".into();
+    match skipping.submit(&req).unwrap() {
+        SubmitOutcome::Cached { tier, .. } => assert_eq!(tier, Tier::Memory),
+        SubmitOutcome::Running(_) => panic!("completed job must be cached"),
+    }
+    assert_eq!(
+        std::fs::read_to_string(&sidecar).unwrap(),
+        "line 4001: not a record\nline 4002: 3 zz\n"
+    );
+    let ctx = std::fs::read_to_string(ctx).unwrap();
+    assert!(ctx.contains("\"trace_id\":\"trc-e2e-hit\""), "{ctx}");
+    assert!(ctx.contains("\"quarantined\":2"), "{ctx}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Submits `req` and follows it to its grid, asserting that the server
+/// started a job for it. Returns the key and the grid.
+fn computed(server: &Arc<Server>, req: &SubmitRequest) -> (String, Arc<DesignGrid>) {
+    match server.submit(req).unwrap() {
+        SubmitOutcome::Running(sub) => {
+            assert!(!sub.coalesced);
+            (sub.key.clone(), drain(&sub.events))
+        }
+        SubmitOutcome::Cached { tier, .. } => panic!("expected a computed job, got a {tier:?} hit"),
+    }
+}
+
+/// A trace rewritten in place with the same length and different
+/// records is a different trace: its next submission gets a new key
+/// and is computed, bit for bit as a fresh server computes it. Checked
+/// for the text layout and the delta-compressed binary one.
+#[test]
+fn a_trace_rewritten_in_place_gets_a_new_key_and_is_recomputed() {
+    let root = temp_root("rewrite");
+    let records = trace_records(6_000);
+    let encode = |ext: &str, records: &[TraceRecord]| {
+        let path = root.join(format!("encoded.{ext}"));
+        mlc_trace::write_trace_file(&path, records).unwrap();
+        std::fs::read(path).unwrap()
+    };
+    for ext in ["din", "mlcz"] {
+        let path = root.join(format!("trace.{ext}"));
+        let before = encode(ext, &records);
+        std::fs::write(&path, &before).unwrap();
+        // The same records but the last address, encoded to the same
+        // length.
+        let after = (1..64u64)
+            .find_map(|d| {
+                let mut changed = records.clone();
+                let last = changed.last_mut().unwrap();
+                last.addr = last.addr.wrapping_add(4 * d);
+                let bytes = encode(ext, &changed);
+                (bytes.len() == before.len()).then_some(bytes)
+            })
+            .expect("a same-length rewrite");
+        assert_ne!(before, after);
+
+        let server = server(&root.join(format!("store_{ext}")), Duration::ZERO);
+        let req = request(&path, SIZES);
+        let (old_key, _) = computed(&server, &req);
+        // `fs::write` truncates and rewrites the same file.
+        std::fs::write(&path, &after).unwrap();
+        let (new_key, grid) = computed(&server, &req);
+        assert_ne!(old_key, new_key, "{ext}: new content, new key");
+        assert_eq!(server.stats().jobs_computed, 2, "{ext}");
+
+        let fresh = self::server(&root.join(format!("fresh_{ext}")), Duration::ZERO);
+        let (fresh_key, want) = computed(&fresh, &req);
+        assert_eq!(new_key, fresh_key, "{ext}");
+        assert_eq!(grid_bits(&grid), grid_bits(&want), "{ext}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The key names records, not bytes: an `.mlcz` copy of a `.din` trace
+/// gets the same key and is answered from the memory tier. Only the
+/// cold submission decodes the trace into records; its hits, in either
+/// format, decode none.
+#[test]
+fn an_mlcz_copy_shares_the_key_and_hits_decode_no_records() {
+    let root = temp_root("formats");
+    let din = write_trace(&root, 6_000);
+    let mlcz = root.join("trace.mlcz");
+    mlc_trace::write_trace_file(&mlcz, &trace_records(6_000)).unwrap();
+    let server = server(&root.join("store"), Duration::ZERO);
+
+    let (key, cold) = computed(&server, &request(&din, SIZES));
+    for path in [&din, &mlcz, &mlcz] {
+        match server.submit(&request(path, SIZES)).unwrap() {
+            SubmitOutcome::Cached {
+                key: hit,
+                grid,
+                tier,
+                ..
+            } => {
+                assert_eq!(hit, key, "{}", path.display());
+                assert_eq!(tier, Tier::Memory, "{}", path.display());
+                assert_eq!(grid_bits(&grid), grid_bits(&cold));
+            }
+            SubmitOutcome::Running(_) => panic!("{} must hit", path.display()),
+        }
+    }
+    let stats = server.stats();
+    assert_eq!((stats.jobs_computed, stats.mem_hits), (1, 3));
+    assert_eq!(stats.trace_decodes, 1, "the hits decoded no records");
+    let doc = server.stats_doc("test");
+    let decodes = doc
+        .get("counters")
+        .and_then(|c| c.get("trace_decodes"))
+        .and_then(|v| v.as_u64());
+    assert_eq!(decodes, Some(1));
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -14,12 +14,12 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 
 use crate::error::TraceError;
 use crate::fault::{absorb_fault, FaultPolicy, IngestReport};
-use crate::record::{AccessKind, Address, TraceRecord};
+use crate::record::{AccessKind, Address, RecordSink, TraceRecord};
 
 /// Parses one `.din` line: `Ok(None)` for blanks and comments,
 /// `Ok(Some(record))` for a record, a [`TraceError::ParseDin`] carrying
-/// `line_no` otherwise. The one parser behind [`read_din_with`] (and
-/// so behind the strict [`read_din`] too).
+/// `line_no` otherwise. The one parser behind [`read_din_into`] (and
+/// so behind [`read_din_with`] and the strict [`read_din`] too).
 fn parse_din_line(line_no: u64, line: &str) -> Result<Option<TraceRecord>, TraceError> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
@@ -134,8 +134,39 @@ pub fn read_din_with<R: Read>(
     policy: FaultPolicy,
     quarantine: Option<&mut dyn Write>,
 ) -> Result<(Vec<TraceRecord>, IngestReport), TraceError> {
-    let mut quarantine = quarantine;
     let mut out = Vec::new();
+    let report = read_din_into(reader, policy, quarantine, &mut out)?;
+    Ok((out, report))
+}
+
+/// [`read_din_with`] with the records handed to a [`RecordSink`]
+/// instead of collected: the one `.din` decoder body, which the `Vec`
+/// form collects through. The sink sees exactly the records the `Vec`
+/// form would hold, in order, and the report, the quarantine lines and
+/// the errors are the same.
+///
+/// # Errors
+///
+/// Exactly those of [`read_din_with`]. On an error the sink may
+/// already hold the records decoded before it.
+///
+/// # Examples
+///
+/// ```
+/// use mlc_trace::{din, FaultPolicy};
+///
+/// let mut out = Vec::new();
+/// let report = din::read_din_into("2 4\n0 8\n".as_bytes(), FaultPolicy::Fail, None, &mut out)?;
+/// assert_eq!((out.len(), report.quarantined), (2, 0));
+/// # Ok::<(), mlc_trace::TraceError>(())
+/// ```
+pub fn read_din_into<R: Read, S: RecordSink>(
+    reader: R,
+    policy: FaultPolicy,
+    quarantine: Option<&mut dyn Write>,
+    out: &mut S,
+) -> Result<IngestReport, TraceError> {
+    let mut quarantine = quarantine;
     let mut report = IngestReport::default();
     let mut line_no = 0u64;
     for line in BufReader::new(reader).lines() {
@@ -153,7 +184,7 @@ pub fn read_din_with<R: Read>(
             )?,
         }
     }
-    Ok((out, report))
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -9,8 +9,11 @@
 //! * [`read_trace_file`] / [`write_trace_file`] — the file-level entry
 //!   points that pick the format from the extension. Every tool that
 //!   reads a trace from disk (the CLI binaries and the `mlc-serve`
-//!   daemon alike) goes through [`read_trace_file`], which also owns
-//!   degraded ingestion's `<trace>.quarantine` sidecar.
+//!   daemon alike) goes through [`read_trace_file`] or its sink forms
+//!   ([`read_trace_file_into`], and [`decode_trace_bytes`] for bytes
+//!   already read), which also own degraded ingestion's
+//!   `<trace>.quarantine` sidecar. [`RecordSink`] lets one decoder
+//!   pass feed a `Vec`, a streaming digest, or both.
 //! * [`synth`] — seeded synthetic workload generators reproducing the
 //!   statistical properties of the ISCA 1989 paper's eight
 //!   multiprogramming traces (see DESIGN.md §4 for the substitution
@@ -65,7 +68,7 @@ pub mod synth;
 
 pub use error::TraceError;
 pub use fault::{FaultInjector, FaultPlan, FaultPolicy, IngestReport};
-pub use record::{AccessKind, Address, TraceRecord};
+pub use record::{AccessKind, Address, RecordSink, TraceRecord};
 pub use stats::TraceStats;
 
 use std::fs::File;
@@ -102,15 +105,83 @@ pub fn read_trace_file(
     path: &Path,
     policy: FaultPolicy,
 ) -> Result<(Vec<TraceRecord>, IngestReport, Option<PathBuf>), TraceError> {
-    let decode = |quarantine: Option<&mut dyn Write>| {
+    let mut records = Vec::new();
+    let (report, sidecar) = read_trace_file_into(path, policy, &mut records)?;
+    Ok((records, report, sidecar))
+}
+
+/// [`read_trace_file`] with the records handed to a [`RecordSink`]
+/// instead of collected, so one pass over the file can feed a digest,
+/// a `Vec`, or both (a pair of sinks). A `.din` file is streamed
+/// through a buffered reader; a binary one is read into memory once.
+/// Returns the ingest report and the sidecar path when one was written.
+///
+/// # Errors
+///
+/// Exactly those of [`read_trace_file`].
+pub fn read_trace_file_into<S: RecordSink>(
+    path: &Path,
+    policy: FaultPolicy,
+    sink: &mut S,
+) -> Result<(IngestReport, Option<PathBuf>), TraceError> {
+    quarantined(path, policy, |q| {
         if is_din(path) {
-            din::read_din_with(BufReader::new(File::open(path)?), policy, quarantine)
+            din::read_din_into(BufReader::new(File::open(path)?), policy, q, sink)
         } else {
-            slice::read_binary_slice_with(&std::fs::read(path)?, policy, quarantine)
+            slice::read_binary_slice_into(&std::fs::read(path)?, policy, q, sink)
         }
-    };
+    })
+}
+
+/// Decodes a trace file's bytes, already read into memory, into a
+/// [`RecordSink`]: the format is picked from `path`'s extension and
+/// degraded records go to `path`'s sidecar, both as in
+/// [`read_trace_file`]. A caller that must both digest a trace and,
+/// only sometimes, keep its records reads the file once and decodes
+/// the same bytes twice, so the two passes can never see different
+/// contents.
+///
+/// # Errors
+///
+/// Exactly those of [`read_trace_file`], less the read itself.
+///
+/// # Examples
+///
+/// ```
+/// use std::path::Path;
+/// use mlc_trace::{decode_trace_bytes, FaultPolicy};
+///
+/// let mut records = Vec::new();
+/// let text = b"2 4\n0 8\n";
+/// let (report, sidecar) =
+///     decode_trace_bytes(Path::new("t.din"), text, FaultPolicy::Fail, &mut records)?;
+/// assert_eq!((records.len(), report.quarantined, sidecar), (2, 0, None));
+/// # Ok::<(), mlc_trace::TraceError>(())
+/// ```
+pub fn decode_trace_bytes<S: RecordSink>(
+    path: &Path,
+    bytes: &[u8],
+    policy: FaultPolicy,
+    sink: &mut S,
+) -> Result<(IngestReport, Option<PathBuf>), TraceError> {
+    quarantined(path, policy, |q| {
+        if is_din(path) {
+            din::read_din_into(bytes, policy, q, sink)
+        } else {
+            slice::read_binary_slice_into(bytes, policy, q, sink)
+        }
+    })
+}
+
+/// Runs one decode of `path` under `policy`, giving it the quarantine
+/// sidecar when the policy can skip, and publishes the sidecar.
+fn quarantined(
+    path: &Path,
+    policy: FaultPolicy,
+    decode: impl FnOnce(Option<&mut dyn Write>) -> Result<IngestReport, TraceError>,
+) -> Result<(IngestReport, Option<PathBuf>), TraceError> {
     if policy == FaultPolicy::Fail {
-        return decode(None).map(|(records, report)| (records, report, None));
+        return decode(None).map(|report| (report, None));
     }
     let mut sidecar = LazyFile::new(quarantine_path(path));
     let result = decode(Some(&mut sidecar));
@@ -118,8 +189,7 @@ pub fn read_trace_file(
     // exceeded): the partial sidecar is exactly the debugging evidence
     // the error message points at.
     let written = sidecar.publish()?;
-    let (records, report) = result?;
-    Ok((records, report, written))
+    Ok((result?, written))
 }
 
 /// Writes a trace file, dispatching on extension: `.din` writes Dinero

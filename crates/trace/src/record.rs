@@ -255,6 +255,70 @@ impl TraceRecord {
     }
 }
 
+/// Where a trace decoder puts the records it decodes, in trace order.
+///
+/// Each format has one decoder body, written against this trait
+/// ([`slice::read_binary_slice_into`](crate::slice::read_binary_slice_into),
+/// [`din::read_din_into`](crate::din::read_din_into)). A `Vec` sink
+/// materialises the trace; a streaming consumer, such as a content
+/// digest, sees every record without storing any. A pair of sinks
+/// feeds both from one pass.
+///
+/// # Examples
+///
+/// ```
+/// use mlc_trace::{binary, slice, AccessKind, FaultPolicy, RecordSink, TraceRecord};
+///
+/// /// Counts instruction fetches without storing the trace.
+/// struct Ifetches(usize);
+/// impl RecordSink for Ifetches {
+///     fn push(&mut self, record: TraceRecord) {
+///         self.0 += usize::from(record.kind == AccessKind::InstructionFetch);
+///     }
+/// }
+///
+/// let recs = vec![TraceRecord::ifetch(0x4), TraceRecord::write(0x100)];
+/// let mut buf = Vec::new();
+/// binary::write_compressed(&mut buf, &recs)?;
+/// let mut sink = (Vec::new(), Ifetches(0));
+/// slice::read_binary_slice_into(&buf, FaultPolicy::Fail, None, &mut sink)?;
+/// assert_eq!((sink.0, sink.1 .0), (recs, 1));
+/// # Ok::<(), mlc_trace::TraceError>(())
+/// ```
+pub trait RecordSink {
+    /// A hint, given before the first record, of how many records the
+    /// input declares (a binary header's count, capped by the decoder).
+    /// The default ignores it.
+    fn size_hint(&mut self, _records: usize) {}
+
+    /// Takes the next decoded record.
+    fn push(&mut self, record: TraceRecord);
+}
+
+impl RecordSink for Vec<TraceRecord> {
+    fn size_hint(&mut self, records: usize) {
+        self.reserve(records);
+    }
+
+    #[inline]
+    fn push(&mut self, record: TraceRecord) {
+        Vec::push(self, record);
+    }
+}
+
+impl<A: RecordSink, B: RecordSink> RecordSink for (A, B) {
+    fn size_hint(&mut self, records: usize) {
+        self.0.size_hint(records);
+        self.1.size_hint(records);
+    }
+
+    #[inline]
+    fn push(&mut self, record: TraceRecord) {
+        self.0.push(record);
+        self.1.push(record);
+    }
+}
+
 impl fmt::Display for TraceRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {}", self.kind, self.addr)

@@ -8,9 +8,10 @@
 //! it through [`read_trace_file`](crate::read_trace_file), which reads
 //! the file into memory with one `std::fs::read`.
 //!
-//! Entry points: [`read_binary_slice_with`] decodes a whole trace under
-//! a [`FaultPolicy`]; [`read_binary_slice`] is its strict
-//! ([`FaultPolicy::Fail`]) form.
+//! Entry points: [`read_binary_slice_into`] decodes a whole trace under
+//! a [`FaultPolicy`] into a [`RecordSink`]; [`read_binary_slice_with`]
+//! collects those records into a `Vec`, and [`read_binary_slice`] is
+//! its strict ([`FaultPolicy::Fail`]) form.
 
 use std::io::Write;
 
@@ -20,7 +21,7 @@ use crate::binary::{
 };
 use crate::error::TraceError;
 use crate::fault::{absorb_fault, hex_bytes, FaultPolicy, IngestReport};
-use crate::record::{AccessKind, Address, TraceRecord};
+use crate::record::{AccessKind, Address, RecordSink, TraceRecord};
 
 /// A validated binary trace header over a slice: version, declared
 /// record count, and the payload offset.
@@ -172,11 +173,46 @@ pub fn read_binary_slice_with(
     policy: FaultPolicy,
     quarantine: Option<&mut dyn Write>,
 ) -> Result<(Vec<TraceRecord>, IngestReport), TraceError> {
+    let mut out = Vec::new();
+    let report = read_binary_slice_into(bytes, policy, quarantine, &mut out)?;
+    Ok((out, report))
+}
+
+/// [`read_binary_slice_with`] with the records handed to a
+/// [`RecordSink`] instead of collected: the one binary decoder body,
+/// which the `Vec` form collects through. The sink sees exactly the
+/// records the `Vec` form would hold, in order, and the report, the
+/// quarantine lines and the errors are the same.
+///
+/// # Errors
+///
+/// Exactly those of [`read_binary_slice_with`]. On an error the sink
+/// may already hold the records decoded before it.
+///
+/// # Examples
+///
+/// ```
+/// use mlc_trace::{binary, slice, FaultPolicy, TraceRecord};
+///
+/// let recs = vec![TraceRecord::ifetch(0x4), TraceRecord::write(0x100)];
+/// let mut buf = Vec::new();
+/// binary::write_compressed(&mut buf, &recs)?;
+/// let mut out = Vec::new();
+/// let report = slice::read_binary_slice_into(&buf, FaultPolicy::Fail, None, &mut out)?;
+/// assert_eq!((out, report.quarantined), (recs, 0));
+/// # Ok::<(), mlc_trace::TraceError>(())
+/// ```
+pub fn read_binary_slice_into<S: RecordSink>(
+    bytes: &[u8],
+    policy: FaultPolicy,
+    quarantine: Option<&mut dyn Write>,
+    out: &mut S,
+) -> Result<IngestReport, TraceError> {
     let mut quarantine = quarantine;
     let mut report = IngestReport::default();
     let header = parse_header(bytes)?;
     let count = header.count;
-    let mut out = Vec::with_capacity(count.min(1 << 24));
+    out.size_hint(count.min(1 << 24));
     let mut pos = HEADER_LEN;
     match header.version {
         VERSION => {
@@ -190,7 +226,7 @@ pub fn read_binary_slice_with(
                         TraceError::ParseBinary(format!("truncated at record {i}")),
                     )?;
                     report.truncated = true;
-                    return Ok((out, report));
+                    return Ok(report);
                 };
                 pos += RECORD_LEN;
                 match AccessKind::from_din_label(rec[0]) {
@@ -226,7 +262,7 @@ pub fn read_binary_slice_with(
                             TraceError::ParseBinary(format!("truncated at record {i}")),
                         )?;
                         report.truncated = true;
-                        return Ok((out, report));
+                        return Ok(report);
                     }
                     // The token boundary is lost: nothing after an
                     // undecodable varint can be re-framed, so this is
@@ -273,7 +309,7 @@ pub fn read_binary_slice_with(
             TraceError::ParseBinary(format!("{trailing} trailing bytes after final record")),
         )?;
     }
-    Ok((out, report))
+    Ok(report)
 }
 
 #[cfg(test)]
